@@ -189,6 +189,13 @@ std::vector<analysis::Diagnostic> RtlAbvEnv::prune_cross_check() const {
   return out;
 }
 
+std::string RtlAbvEnv::binding_error() const {
+  for (const auto& checker : checkers_) {
+    if (!checker->binding_error().empty()) return checker->binding_error();
+  }
+  return {};
+}
+
 bool RtlAbvEnv::all_ok() const {
   for (const auto& checker : checkers_) {
     if (!checker->ok()) return false;

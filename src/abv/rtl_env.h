@@ -127,6 +127,9 @@ class RtlAbvEnv {
 
   Report report() const;
   bool all_ok() const;
+  // First slot-binding error in registration order (the sampled dictionary
+  // lacked a property's observable), or empty. Call after finish().
+  std::string binding_error() const;
   const std::vector<std::unique_ptr<checker::PropertyChecker>>& checkers() const {
     return checkers_;
   }

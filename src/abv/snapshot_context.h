@@ -21,10 +21,16 @@ namespace repro::abv {
 
 class ObservablesContext : public checker::ValueContext {
  public:
-  explicit ObservablesContext(const tlm::Snapshot& values) : values_(values) {}
+  // Publishes the snapshot's key table and values as the positional view,
+  // so checkers read their atoms by slot (see checker/slot_binding.h).
+  explicit ObservablesContext(const tlm::Snapshot& values) : values_(values) {
+    set_positional(&values.key_table(), values.data());
+  }
 
-  // Fails fast (with the observable's name) when the record does not carry
-  // `name`; a silent garbage read would make verdicts meaningless.
+  // Name-path lookup (checkers bind slots instead and report a missing
+  // observable at bind time). Fails fast with the observable's name when the
+  // record does not carry `name`; a silent garbage read would make verdicts
+  // meaningless.
   uint64_t value(std::string_view name) const override;
   bool has(std::string_view name) const override;
 

@@ -166,6 +166,16 @@ std::vector<analysis::Diagnostic> TlmAbvEnv::prune_cross_check() const {
   return out;
 }
 
+std::string TlmAbvEnv::binding_error() const {
+  for (const auto& wrapper : wrappers_) {
+    if (!wrapper->binding_error().empty()) return wrapper->binding_error();
+  }
+  for (const auto& checker : checkers_) {
+    if (!checker->binding_error().empty()) return checker->binding_error();
+  }
+  return {};
+}
+
 bool TlmAbvEnv::all_ok() const {
   for (const auto& wrapper : wrappers_) {
     if (!wrapper->ok()) return false;

@@ -145,6 +145,10 @@ class TlmAbvEnv {
 
   Report report() const;
   bool all_ok() const;
+  // First slot-binding error in registration order (a record dictionary
+  // lacked a property's observable; see checker/slot_binding.h), or empty.
+  // Call after finish().
+  std::string binding_error() const;
 
   // Metrics registry backing the evaluation engine; created by attach()
   // (nullptr before). Callers may add their own gauges (lane 0) before

@@ -108,6 +108,7 @@ void BatchState::reset_lane(uint32_t lane) {
 }
 
 bool BatchState::atom_value(uint32_t k) {
+  if (ev_->atoms != nullptr) return ev_->atoms[k] != 0;  // slot-bound bit
   // Lane-uniform: every lane of a prime call shares the event, so the memo
   // is one value per atom per prime (the 64-wide analogue of ProgramState's
   // per-step atom memo).

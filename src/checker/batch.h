@@ -146,7 +146,8 @@ class BatchState {
   std::vector<uint32_t> counts_;       // kNext events skipped
   std::vector<psl::TimeNs> targets_;   // kNextEps required instants
 
-  // Per-prime atom memo (lane-uniform: one value per atom per event).
+  // Per-prime atom memo of the name path (lane-uniform: one value per atom
+  // per event); events carrying Event::atoms read those bits instead.
   std::vector<uint64_t> atom_stamp_;
   std::vector<uint8_t> atom_val_;
   uint64_t stamp_ = 0;

@@ -29,6 +29,7 @@ PropertyChecker::PropertyChecker(std::string name, psl::ExprPtr formula,
       ProgramBatch::supported(*program_)) {
     batch_layout_ = std::make_shared<const ProgramBatch>(program_);
   }
+  activation_.reset(name_, program_.get(), body_, guard_, antecedent_);
 }
 
 void PropertyChecker::set_program_formula(const psl::ExprPtr& formula) {
@@ -43,6 +44,7 @@ void PropertyChecker::set_program_formula(const psl::ExprPtr& formula) {
   }
   blocks_.clear();
   free_pool_.clear();
+  activation_.reset(name_, program_.get(), body_, guard_, antecedent_);
 }
 
 std::unique_ptr<Instance> PropertyChecker::make_instance() {
@@ -89,16 +91,15 @@ void PropertyChecker::prime_cohorts(const Event& ev) {
   }
 }
 
-void PropertyChecker::retire(std::unique_ptr<Instance> instance, Verdict v,
-                             psl::TimeNs time) {
-  const psl::TimeNs activated = instance->activated_at();
+void PropertyChecker::count_verdict(Verdict v, bool exercised,
+                                    psl::TimeNs activated, psl::TimeNs time) {
   latency_ns_.record(time >= activated ? time - activated : 0);
   switch (v) {
     case Verdict::kTrue:
       ++stats_.holds;
       // The vacuity split: a hold whose antecedent never fired at the
       // anchor proves nothing about the consequent.
-      if (instance->exercised()) {
+      if (exercised) {
         ++stats_.real_passes;
       } else {
         ++stats_.vacuous_passes;
@@ -107,20 +108,29 @@ void PropertyChecker::retire(std::unique_ptr<Instance> instance, Verdict v,
     case Verdict::kFalse:
       ++stats_.failures;
       if (failure_log_.size() < options_.failure_log_cap) {
-        failure_log_.push_back({time, name_});
+        failure_log_.push_back({time, name_, {}});
       }
       break;
     case Verdict::kPending:
       ++stats_.uncompleted;
       break;
   }
+}
+
+void PropertyChecker::retire(std::unique_ptr<Instance> instance, Verdict v,
+                             psl::TimeNs time) {
+  count_verdict(v, instance->exercised(), instance->activated_at(), time);
   instance->reset();
   free_pool_.push_back(std::move(instance));
 }
 
 void PropertyChecker::on_event(psl::TimeNs time, const ValueContext& values) {
   ++stats_.events;
-  const Event ev{time, &values};
+  const bool activates = repeating_ || !started_;
+  if (active_.empty() && !activates) return;  // nothing reads this event
+  const uint8_t* bits = activation_.load(values);
+  if (bits == nullptr && activation_.failed()) return;
+  const Event ev{time, &values, bits};
   if (!blocks_.empty()) prime_cohorts(ev);
 
   // Feed the event to every active instance; retire the resolved ones.
@@ -139,15 +149,29 @@ void PropertyChecker::on_event(psl::TimeNs time, const ValueContext& values) {
 
   // Activation: a new verification session starts at each evaluation point
   // matching the context (for always-properties), or once (otherwise).
-  if (!repeating_ && started_) {
-    if (coverage_ != nullptr) sync_coverage();
-    return;
-  }
-  if (guard_ && !eval_boolean(guard_, values)) {
+  if (!activates || !activation_.guard(bits, values)) {
     if (coverage_ != nullptr) sync_coverage();
     return;
   }
   started_ = true;
+  const bool exercised = activation_.exercised(bits, values);
+  ++stats_.activations;
+  ++stats_.steps;
+  stats_.node_visits += node_cost_;
+  if (!free_pool_.empty()) {
+    // An activation decided at its anchor would step the top pooled
+    // instance once, retire it as a trivial verdict and put it back on top:
+    // count exactly that without touching it. With an empty pool the full
+    // path below allocates the instance, keeping the instance (and lane)
+    // allocation order of the full evaluation.
+    const Verdict v = activation_.anchor_verdict(exercised, bits, values);
+    if (v != Verdict::kPending) {
+      ++stats_.trivial;
+      count_verdict(v, exercised, time, time);
+      if (coverage_ != nullptr) sync_coverage();
+      return;
+    }
+  }
 
   std::unique_ptr<Instance> instance;
   if (!free_pool_.empty()) {
@@ -157,11 +181,7 @@ void PropertyChecker::on_event(psl::TimeNs time, const ValueContext& values) {
     instance = make_instance();
   }
   instance->set_activated_at(time);
-  instance->set_exercised(antecedent_ == nullptr ||
-                          eval_boolean(antecedent_, values));
-  ++stats_.activations;
-  ++stats_.steps;
-  stats_.node_visits += node_cost_;
+  instance->set_exercised(exercised);
   const Verdict v = instance->step(ev);
   if (v == Verdict::kPending) {
     active_.push_back(std::move(instance));

@@ -22,6 +22,7 @@
 #include "checker/batch.h"
 #include "checker/instance.h"
 #include "checker/program.h"
+#include "checker/slot_binding.h"
 #include "checker/trace.h"
 #include "psl/ast.h"
 #include "support/coverage.h"
@@ -130,8 +131,15 @@ class PropertyChecker {
   // nullptr detaches. The row must outlive the checker.
   void set_coverage(support::CoverageTable::Row* row);
 
+  // Non-empty once an event's observable dictionary lacked one of this
+  // property's observables (see slot_binding.h); the checker ignores every
+  // event from then on.
+  const std::string& binding_error() const { return activation_.error(); }
+
  private:
   void sync_coverage();
+  void count_verdict(Verdict v, bool exercised, psl::TimeNs activated,
+                     psl::TimeNs time);
   void retire(std::unique_ptr<Instance> instance, Verdict v, psl::TimeNs time);
   std::unique_ptr<Instance> make_instance();
   void prime_cohorts(const Event& ev);
@@ -157,6 +165,9 @@ class PropertyChecker {
 
   psl::ExprPtr antecedent_;    // derived guard, may be nullptr
   uint64_t node_cost_ = 0;     // node_count(body_), the node_visits increment
+  // Slot-bound guard/antecedent/anchor evaluation over the program's atoms;
+  // rebuilt whenever the program changes.
+  ActivationLogic activation_;
   support::Histogram latency_ns_;
   support::CoverageTable::Row* coverage_ = nullptr;
 };

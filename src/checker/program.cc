@@ -336,9 +336,11 @@ class Evaluator {
     (*spare_)[key].push_back(std::move(f));
   }
 
-  // Value of the deduplicated atom `k` at the current event, computed at
-  // most once per step.
+  // Value of the deduplicated atom `k` at the current event: the owner's
+  // slot-bound bit when it supplied one, else computed by name at most once
+  // per step.
   bool atom_value(uint32_t k) {
+    if (ev_->atoms != nullptr) return ev_->atoms[k] != 0;
     if (atom_stamp_ == nullptr) {
       return eval_atom(prog_.atoms()[k], *ev_->values);
     }

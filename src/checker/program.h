@@ -162,9 +162,10 @@ class ProgramState {
   // Recycled frames, keyed by shape: ordinal * 2 + side (side 1 = the rhs
   // operand frame of a fixpoint, side 0 otherwise).
   std::vector<std::vector<Frame>> spare_;
-  // Per-event atom memo: the program dedups atoms, so each atom is evaluated
-  // at most once per step() no matter how many frames reference it. An entry
-  // is valid when its stamp equals the current step's stamp.
+  // Per-event atom memo of the name path (events without Event::atoms): the
+  // program dedups atoms, so each atom is evaluated at most once per step()
+  // no matter how many frames reference it. An entry is valid when its
+  // stamp equals the current step's stamp.
   std::vector<uint64_t> atom_stamp_;
   std::vector<uint8_t> atom_val_;
   uint64_t stamp_ = 0;

@@ -35,16 +35,7 @@ bool eval_atom(const psl::Atom& atom, const ValueContext& ctx) {
   if (atom.op == psl::CmpOp::kTruthy) return lhs != 0;
   const uint64_t rhs =
       atom.rhs_is_signal ? ctx.value(atom.rhs_signal) : atom.rhs_value;
-  switch (atom.op) {
-    case psl::CmpOp::kTruthy: return lhs != 0;  // unreachable, kept for -Wswitch
-    case psl::CmpOp::kEq: return lhs == rhs;
-    case psl::CmpOp::kNe: return lhs != rhs;
-    case psl::CmpOp::kLt: return lhs < rhs;
-    case psl::CmpOp::kLe: return lhs <= rhs;
-    case psl::CmpOp::kGt: return lhs > rhs;
-    case psl::CmpOp::kGe: return lhs >= rhs;
-  }
-  return false;
+  return compare(atom.op, lhs, rhs);
 }
 
 bool eval_boolean(const psl::ExprPtr& e, const ValueContext& ctx) {

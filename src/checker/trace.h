@@ -39,16 +39,35 @@ struct WitnessEntry {
 
 class ValueContext;
 
-// One evaluation event handed to a checker instance.
+// One evaluation event handed to a checker instance. `atoms` is the owner's
+// slot-bound atom bits for this event (one byte per deduplicated program
+// atom, see slot_binding.h), or nullptr on the name path, where atoms are
+// evaluated by looking their signals up in `values`.
 struct Event {
   psl::TimeNs time;
   const ValueContext* values;
+  const uint8_t* atoms = nullptr;
 };
+
+// Positional observable dictionary: slot i of an event's value array holds
+// the observable named (*dictionary)[i]. Same layout as tlm::Snapshot::Keys.
+using Dictionary = std::vector<std::string>;
 
 // Read access to the DUV observables at one evaluation event.
 class ValueContext {
  public:
+  // Positional view of the observables: the dictionary (whose identity is
+  // its address, stable for as long as the producer emits records over it)
+  // plus this event's value array, parallel to it. `dictionary` is null when
+  // the context has no positional layout; a null *dictionary is an empty
+  // one.
+  struct Positional {
+    const std::shared_ptr<const Dictionary>* dictionary = nullptr;
+    const uint64_t* values = nullptr;
+  };
+
   virtual ~ValueContext() = default;
+  const Positional& positional() const { return positional_; }
   // Value of signal `name`; must only be called for signals the context
   // provides (checked by has()).
   virtual uint64_t value(std::string_view name) const = 0;
@@ -59,6 +78,15 @@ class ValueContext {
   virtual std::shared_ptr<const WitnessValues> witness_values() const {
     return nullptr;
   }
+
+ protected:
+  void set_positional(const std::shared_ptr<const Dictionary>* dictionary,
+                      const uint64_t* values) {
+    positional_ = {dictionary, values};
+  }
+
+ private:
+  Positional positional_;
 };
 
 // ValueContext backed by a plain map; used for recorded traces and tests.
@@ -88,6 +116,20 @@ struct Observation {
 
 // A recorded stream of evaluation events, in increasing time order.
 using Trace = std::vector<Observation>;
+
+// `lhs <op> rhs` for a binary comparison; kTruthy tests lhs != 0.
+inline bool compare(psl::CmpOp op, uint64_t lhs, uint64_t rhs) {
+  switch (op) {
+    case psl::CmpOp::kTruthy: return lhs != 0;
+    case psl::CmpOp::kEq: return lhs == rhs;
+    case psl::CmpOp::kNe: return lhs != rhs;
+    case psl::CmpOp::kLt: return lhs < rhs;
+    case psl::CmpOp::kLe: return lhs <= rhs;
+    case psl::CmpOp::kGt: return lhs > rhs;
+    case psl::CmpOp::kGe: return lhs >= rhs;
+  }
+  return false;
+}
 
 // Evaluates an atomic proposition against `ctx`. All referenced signals
 // must be present in the context.

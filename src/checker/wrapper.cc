@@ -83,6 +83,7 @@ TlmCheckerWrapper::TlmCheckerWrapper(const psl::TlmProperty& property,
     }
     stats_.pool_capacity = lifetime_;
   }
+  activation_.reset(name_, program_.get(), body_, guard_, antecedent_);
 }
 
 void TlmCheckerWrapper::set_program_formula(const psl::ExprPtr& formula) {
@@ -102,18 +103,19 @@ void TlmCheckerWrapper::set_program_formula(const psl::ExprPtr& formula) {
   for (size_t i = 0; i < lifetime_; ++i) {
     free_pool_.push_back(make_instance());
   }
+  activation_.reset(name_, program_.get(), body_, guard_, antecedent_);
 }
 
-void TlmCheckerWrapper::retire(std::unique_ptr<Instance> instance, Verdict v,
-                               psl::TimeNs time) {
-  const psl::TimeNs activated = instance->activated_at();
+void TlmCheckerWrapper::count_verdict(Verdict v, bool exercised,
+                                      psl::TimeNs activated,
+                                      psl::TimeNs time) {
   latency_ns_.record(time >= activated ? time - activated : 0);
   switch (v) {
     case Verdict::kTrue:
       ++stats_.holds;
       // The vacuity split: a hold whose antecedent never fired at the
       // firing transaction proves nothing about the consequent.
-      if (instance->exercised()) {
+      if (exercised) {
         ++stats_.real_passes;
       } else {
         ++stats_.vacuous_passes;
@@ -132,7 +134,17 @@ void TlmCheckerWrapper::retire(std::unique_ptr<Instance> instance, Verdict v,
       ++stats_.uncompleted;
       break;
   }
+}
+
+void TlmCheckerWrapper::retire(std::unique_ptr<Instance> instance, Verdict v,
+                               psl::TimeNs time) {
+  count_verdict(v, instance->exercised(), instance->activated_at(), time);
   // Sec. IV point 3: reset the instance so it can serve a later session.
+  instance->reset();
+  release(std::move(instance));
+}
+
+void TlmCheckerWrapper::release(std::unique_ptr<Instance> instance) {
   // Bounded properties keep their statically sized pool (Sec. IV point 1);
   // unbounded (until-based) properties would otherwise accumulate every
   // instance ever allocated, so their pool is capped at the high-water mark
@@ -143,7 +155,6 @@ void TlmCheckerWrapper::retire(std::unique_ptr<Instance> instance, Verdict v,
     --stats_.pool_capacity;
     return;
   }
-  instance->reset();
   free_pool_.push_back(std::move(instance));
 }
 
@@ -260,10 +271,16 @@ void TlmCheckerWrapper::prime_cohorts(psl::TimeNs time, const Event& ev) {
 }
 
 void TlmCheckerWrapper::on_transaction(psl::TimeNs time, const ValueContext& values) {
+  if (activation_.failed()) return;
   ++stats_.transactions;
   last_time_ = time;
   if (witness_depth_ > 0) capture_witness(time, values);
-  const Event ev{time, &values};
+  const bool activates = repeating_ || !started_;
+  const bool due = !table_.empty() && table_.begin()->first <= time;
+  if (!activates && !due && dense_.empty()) return;  // nothing reads it
+  const uint8_t* bits = activation_.load(values);
+  if (bits == nullptr && activation_.failed()) return;
+  const Event ev{time, &values, bits};
   if (!blocks_.empty()) prime_cohorts(time, ev);
 
   // Sec. IV point 2: evaluate every scheduled instance whose deadline is at
@@ -300,23 +317,36 @@ void TlmCheckerWrapper::on_transaction(psl::TimeNs time, const ValueContext& val
 
   // Sec. IV point 4: activate a new session at each transaction matching the
   // transaction context.
-  if (!repeating_ && started_) {
-    if (coverage_ != nullptr) sync_coverage();
-    return;
-  }
-  if (guard_ && !eval_boolean(guard_, values)) {
+  if (!activates || !activation_.guard(bits, values)) {
     if (coverage_ != nullptr) sync_coverage();
     return;
   }
   started_ = true;
-
-  auto instance = acquire();
-  instance->set_activated_at(time);
-  instance->set_exercised(antecedent_ == nullptr ||
-                          eval_boolean(antecedent_, values));
+  const bool exercised = activation_.exercised(bits, values);
   ++stats_.activations;
   ++stats_.steps;
   stats_.node_visits += node_cost_;
+  if (!free_pool_.empty()) {
+    // A session decided at its firing transaction would take the top pooled
+    // instance (a reuse), step it once, retire it as a trivial verdict and
+    // release it back on top, where the unbounded-pool cap may drop it.
+    // Count exactly that without stepping or resetting it. With an empty
+    // pool the full path below allocates, keeping pool_capacity and the lane
+    // allocation order exact.
+    const Verdict v = activation_.anchor_verdict(exercised, bits, values);
+    if (v != Verdict::kPending) {
+      auto instance = acquire();
+      ++stats_.trivial;
+      count_verdict(v, exercised, time, time);
+      release(std::move(instance));
+      if (coverage_ != nullptr) sync_coverage();
+      return;
+    }
+  }
+
+  auto instance = acquire();
+  instance->set_activated_at(time);
+  instance->set_exercised(exercised);
   const Verdict v = instance->step(ev);
   if (v == Verdict::kPending) {
     // Register the instance with its required evaluation points; trivially

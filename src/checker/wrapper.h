@@ -153,9 +153,19 @@ class TlmCheckerWrapper {
   // nullptr detaches. The row must outlive the wrapper.
   void set_coverage(support::CoverageTable::Row* row);
 
+  // Non-empty once a transaction's observable dictionary lacked one of this
+  // property's observables (see slot_binding.h); the wrapper ignores every
+  // transaction from then on.
+  const std::string& binding_error() const { return activation_.error(); }
+
  private:
   void sync_coverage();
+  void count_verdict(Verdict v, bool exercised, psl::TimeNs activated,
+                     psl::TimeNs time);
   void retire(std::unique_ptr<Instance> instance, Verdict v, psl::TimeNs time);
+  // Returns a fresh (reset) instance to the free pool, or drops it when the
+  // pool of an unbounded property is at its cap.
+  void release(std::unique_ptr<Instance> instance);
   void place(std::unique_ptr<Instance> instance);
   std::unique_ptr<Instance> acquire();
   std::unique_ptr<Instance> make_instance();
@@ -207,6 +217,9 @@ class TlmCheckerWrapper {
 
   psl::ExprPtr antecedent_;  // derived guard, may be nullptr
   uint64_t node_cost_ = 0;   // node_count(body_), the node_visits increment
+  // Slot-bound guard/antecedent/anchor evaluation over the program's atoms;
+  // rebuilt whenever the program changes.
+  ActivationLogic activation_;
   support::CoverageTable::Row* coverage_ = nullptr;
 
   support::TraceSink* trace_ = nullptr;

@@ -117,14 +117,21 @@ struct PrunePrep {
   bool audit = false;
 };
 
+// Post-run harvest of a finished environment: the PRN003 audit (when the
+// plan runs in audit mode), the report and verdict, and any slot-binding
+// error, which invalidates the run like any other ingest failure.
 template <typename Env>
-void collect_prune_audit(const Env& env, const PrunePrep& prune,
+void collect_env_results(const Env& env, const PrunePrep& prune,
                          RunResult& result) {
-  if (!prune.active || !prune.audit) return;
-  std::vector<analysis::Diagnostic> diags = env.prune_cross_check();
-  result.analysis_diagnostics.insert(result.analysis_diagnostics.end(),
-                                     std::make_move_iterator(diags.begin()),
-                                     std::make_move_iterator(diags.end()));
+  if (prune.active && prune.audit) {
+    std::vector<analysis::Diagnostic> diags = env.prune_cross_check();
+    result.analysis_diagnostics.insert(result.analysis_diagnostics.end(),
+                                       std::make_move_iterator(diags.begin()),
+                                       std::make_move_iterator(diags.end()));
+  }
+  result.report = env.report();
+  result.properties_ok = env.all_ok();
+  result.ingest_error = env.binding_error();
 }
 
 // Abstracts the selected properties for TLM-AT; returns the non-deleted ones
@@ -283,9 +290,7 @@ RunResult run_des56_rtl(const RunConfig& config, const PropertySuite& suite,
   result.mismatches = driver.mismatches();
   result.functional_ok =
       driver.mismatches() == 0 && driver.ops_completed() == ops.size();
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, {});
   finish_ingest(ingest, result);
   return result;
@@ -352,9 +357,7 @@ RunResult run_des56_tlm_ca(const RunConfig& config, const PropertySuite& suite,
   result.mismatches = driver.mismatches();
   result.functional_ok =
       driver.mismatches() == 0 && driver.ops_completed() == ops.size();
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, env.metrics_snapshot());
   finish_ingest(ingest, result);
   return result;
@@ -436,9 +439,7 @@ RunResult run_des56_tlm_at(const RunConfig& config, const PropertySuite& suite,
   result.ops_completed = *completed;
   result.mismatches = *mismatches;
   result.functional_ok = *mismatches == 0 && *completed == ops.size();
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, env.metrics_snapshot());
   finish_ingest(ingest, result);
   return result;
@@ -502,9 +503,7 @@ RunResult run_colorconv_rtl(const RunConfig& config, const PropertySuite& suite,
   result.mismatches = driver.mismatches();
   result.functional_ok =
       driver.mismatches() == 0 && driver.pixels_completed() == total_pixels;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, {});
   finish_ingest(ingest, result);
   return result;
@@ -573,9 +572,7 @@ RunResult run_colorconv_tlm_ca(const RunConfig& config,
   result.mismatches = driver.mismatches();
   result.functional_ok =
       driver.mismatches() == 0 && driver.pixels_completed() == total_pixels;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, env.metrics_snapshot());
   finish_ingest(ingest, result);
   return result;
@@ -680,9 +677,7 @@ RunResult run_colorconv_tlm_at(const RunConfig& config,
   result.ops_completed = *completed;
   result.mismatches = *mismatches;
   result.functional_ok = *mismatches == 0 && *completed == total_pixels;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, env.metrics_snapshot());
   finish_ingest(ingest, result);
   return result;
@@ -735,9 +730,7 @@ RunResult run_tlm_replay(const RunConfig& config, const PropertySuite& suite,
   // No DUV executes during replay, so the driver self-check has no subject;
   // functional verification happened when the stream was recorded.
   result.functional_ok = true;
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, env.metrics_snapshot());
   finish_ingest(ingest, result);
   return result;
@@ -775,9 +768,7 @@ RunResult run_rtl_replay(const RunConfig& config, const PropertySuite& suite,
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   result.sim_end_ns = last_end;
   result.functional_ok = true;  // see run_tlm_replay
-  collect_prune_audit(env, prune, result);
-  result.report = env.report();
-  result.properties_ok = env.all_ok();
+  collect_env_results(env, prune, result);
   record_sim_metrics(result, {});
   finish_ingest(ingest, result);
   return result;

@@ -188,8 +188,10 @@ struct RunResult {
   // PRN003 cross-check errors under AnalysisMode::kError) are merged into
   // analysis_diagnostics.
   analysis::PrunePlan prune_plan;
-  // Trace-log ingest failure (unreadable/corrupt replay input, meta that
-  // contradicts the run configuration, or a record-log write error). When
+  // Ingest failure: unreadable/corrupt replay input, meta that contradicts
+  // the run configuration, a record-log write error, or a record dictionary
+  // lacking an observable a property reads (the slot-binding error names
+  // both; see checker/slot_binding.h). When
   // non-empty the other result fields are meaningless; CLIs report it and
   // exit with the usage/configuration status.
   std::string ingest_error;

@@ -315,22 +315,61 @@ std::string TraceError::to_string() const {
   return std::string(tracelog::to_string(kind)) + ": " + message;
 }
 
-uint32_t crc32(const uint8_t* data, size_t size) {
-  // IEEE reflected polynomial, table built on first use.
-  static const std::vector<uint32_t> table = [] {
-    std::vector<uint32_t> t(256);
+namespace {
+
+// Slicing-by-8 tables for the IEEE reflected polynomial: row 0 is the
+// classic bytewise table; row k advances a byte through k further zero
+// bytes, so eight lookups fold one 8-byte word.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+const Crc32Tables& crc32_tables() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables s{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      s.t[0][i] = c;
     }
-    return t;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = s.t[k - 1][i];
+        s.t[k][i] = (prev >> 8) ^ s.t[0][prev & 0xFF];
+      }
+    }
+    return s;
   }();
+  return tables;
+}
+
+// Little-endian 32-bit load from explicit bytes (alignment-free).
+uint32_t load_le32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
+uint32_t crc32(const uint8_t* data, size_t size) {
+  const auto& t = crc32_tables().t;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  // Unaligned head bytewise, then whole 8-byte words, then the tail.
+  while (size > 0 && (reinterpret_cast<uintptr_t>(data) & 7) != 0) {
+    crc = t[0][(crc ^ *data++) & 0xFF] ^ (crc >> 8);
+    --size;
+  }
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ load_le32(data);
+    const uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size) {
+    crc = t[0][(crc ^ *data++) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

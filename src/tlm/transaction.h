@@ -35,6 +35,10 @@ class Snapshot {
   bool empty() const { return keys_ == nullptr; }
   size_t size() const { return keys_ ? keys_->size() : 0; }
   const Keys* keys() const { return keys_.get(); }
+  // The shared key table itself (null for an empty snapshot) and the value
+  // array parallel to it: the positional view checkers bind slots against.
+  const std::shared_ptr<const Keys>& key_table() const { return keys_; }
+  const uint64_t* data() const { return values_.data(); }
 
   void set(std::string_view name, uint64_t value) {
     const Keys& keys = *keys_;

@@ -11,13 +11,16 @@
 #include <vector>
 
 #include "abv/report.h"
+#include "abv/snapshot_context.h"
 #include "analysis/prune.h"
 #include "checker/batch.h"
 #include "checker/checker.h"
 #include "checker/instance.h"
 #include "checker/program.h"
 #include "checker/reference_eval.h"
+#include "checker/slot_binding.h"
 #include "checker/trace.h"
+#include "checker/wrapper.h"
 #include "models/properties.h"
 #include "models/testbench.h"
 #include "psl/ast.h"
@@ -26,6 +29,7 @@
 #include "rewrite/methodology.h"
 #include "rewrite/pass_manager.h"
 #include "support/rng.h"
+#include "tlm/transaction.h"
 
 namespace repro::checker {
 namespace {
@@ -544,6 +548,338 @@ TEST(IrBackendParitySuites, SuitePropertiesAgreeOnRandomTraces) {
       }
     }
   }
+}
+
+// ---- Anchor resolution and slot-bound atoms --------------------------------
+
+ExprPtr random_guarded(Rng& rng, int depth);
+
+// A consequent with a temporal operator at the top: next_e, next[n], until,
+// or (nested guards) another guard shape.
+ExprPtr random_consequent(Rng& rng, int depth) {
+  switch (rng.below(4)) {
+    case 0:
+      return psl::next_eps(1, rng.range(1, 5) * 10, random_formula(rng, depth));
+    case 1:
+      return psl::next(static_cast<uint32_t>(rng.range(1, 3)),
+                       random_formula(rng, depth));
+    case 2:
+      return psl::until(random_formula(rng, depth), random_formula(rng, depth),
+                        rng.chance(1, 2));
+    default:
+      return depth > 0 ? random_guarded(rng, depth - 1)
+                       : psl::next(1, random_formula(rng, 0));
+  }
+}
+
+// A body of one of the guard shapes derive_antecedent() recognizes:
+// `g -> c`, `g || c` and `c || g` (boolean g, temporal c).
+ExprPtr random_guarded(Rng& rng, int depth) {
+  ExprPtr g = random_guard(rng, 2);
+  ExprPtr c = random_consequent(rng, depth);
+  switch (rng.below(3)) {
+    case 0: return psl::implies(std::move(g), std::move(c));
+    case 1: return psl::or_(std::move(g), std::move(c));
+    default: return psl::or_(std::move(c), std::move(g));
+  }
+}
+
+// The trace's observations as snapshots over one shared dictionary, for
+// driving checkers down the slot-bound path (ObservablesContext).
+std::vector<tlm::Snapshot> to_snapshots(const Trace& trace,
+                                        std::vector<std::string> names) {
+  auto keys = std::make_shared<const tlm::Snapshot::Keys>(std::move(names));
+  std::vector<tlm::Snapshot> out;
+  for (const Observation& o : trace) {
+    tlm::Snapshot snap(keys);
+    for (size_t i = 0; i < keys->size(); ++i) {
+      const std::string& name = (*keys)[i];
+      if (o.values.has(name)) snap.set_at(i, o.values.value(name));
+    }
+    out.push_back(std::move(snap));
+  }
+  return out;
+}
+
+// The anchor lemma behind the checkers' vacuous fast path (DESIGN.md §17):
+// whenever a guard-shaped body's derived antecedent is false at an anchor,
+// the body resolves kTrue at that anchor on every backend — the compiled
+// program (name path and slot-bound bits), the lockstep lane, the
+// interpreter and reference_eval.
+TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
+  size_t anchors = 0;
+  for (int seed = 0; seed < 256; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 7919 + 3);
+    const ExprPtr body = random_guarded(rng, 2);
+    const ExprPtr antecedent = derive_antecedent(body);
+    ASSERT_NE(antecedent, nullptr) << psl::to_string(body);
+    const Trace trace = random_trace(rng, 8);
+    const std::vector<tlm::Snapshot> snaps =
+        to_snapshots(trace, {"c", "a", "b"});
+    const auto program = Program::compile(body);
+    AtomSlots slots;
+    slots.reset("p", program.get());
+    for (size_t k = 0; k < trace.size(); ++k) {
+      if (eval_boolean(antecedent, trace[k].values)) continue;
+      ++anchors;
+      SCOPED_TRACE(psl::to_string(body) + " @" + std::to_string(k));
+      const Event ev{trace[k].time, &trace[k].values};
+      Instance interpreted(body);
+      Instance compiled(program);
+      EXPECT_EQ(interpreted.step(ev), Verdict::kTrue);
+      EXPECT_EQ(compiled.step(ev), Verdict::kTrue);
+      const abv::ObservablesContext ctx(snaps[k]);
+      const uint8_t* bits = slots.load(ctx);
+      ASSERT_NE(bits, nullptr);
+      const Event slot_ev{trace[k].time, &ctx, bits};
+      Instance slot_compiled(program);
+      EXPECT_EQ(slot_compiled.step(slot_ev), Verdict::kTrue);
+      if (ProgramBatch::supported(*program)) {
+        auto block = std::make_shared<BatchState>(
+            std::make_shared<const ProgramBatch>(program));
+        Instance lane(block, block->allocate_lane());
+        EXPECT_EQ(lane.step(ev), Verdict::kTrue);
+        Instance slot_lane(block, block->allocate_lane());
+        EXPECT_EQ(slot_lane.step(slot_ev), Verdict::kTrue);
+      }
+      const Trace prefix(trace.begin(), trace.begin() + k + 1);
+      EXPECT_EQ(reference_eval(body, prefix, k, /*complete=*/false),
+                Verdict::kTrue);
+    }
+  }
+  EXPECT_GE(anchors, 200u);  // the sweep exercised the lemma
+}
+
+// Independent oracle for the checker's activation accounting: the counts a
+// full evaluation of every activation must produce, from reference_eval on
+// growing prefixes. The anchor fast path must reproduce them exactly.
+CheckerStats oracle_stats(const ExprPtr& body, const ExprPtr& guard,
+                          const Trace& trace) {
+  CheckerStats s;
+  s.events = trace.size();
+  const ExprPtr antecedent = derive_antecedent(body);
+  const uint64_t cost = psl::node_count(body);
+  for (size_t k = 0; k < trace.size(); ++k) {
+    if (guard && !eval_boolean(guard, trace[k].values)) continue;
+    ++s.activations;
+    Verdict v = Verdict::kPending;
+    size_t j = k;
+    for (; j < trace.size(); ++j) {
+      const Trace prefix(trace.begin(), trace.begin() + j + 1);
+      v = reference_eval(body, prefix, k, /*complete=*/false);
+      if (v != Verdict::kPending) break;
+    }
+    if (v == Verdict::kPending) {
+      s.steps += trace.size() - k;
+      v = reference_eval(body, trace, k, /*complete=*/true);
+    } else {
+      s.steps += j - k + 1;
+      if (j == k) ++s.trivial;
+    }
+    if (v == Verdict::kTrue) {
+      ++s.holds;
+      const bool exercised =
+          antecedent == nullptr || eval_boolean(antecedent, trace[k].values);
+      ++(exercised ? s.real_passes : s.vacuous_passes);
+    } else if (v == Verdict::kFalse) {
+      ++s.failures;
+    } else {
+      ++s.uncompleted;
+    }
+  }
+  s.node_visits = s.steps * cost;
+  return s;
+}
+
+void expect_same_stats(const CheckerStats& a, const CheckerStats& b,
+                       const std::string& what);
+
+// The checker-level consequence of the lemma: activations resolved at the
+// anchor without an instance count exactly what stepping one would, on
+// every backend and on both the slot-bound and the name path.
+TEST(IrAnchorLemma, CheckerCountsMatchReferenceOracle) {
+  CheckerOptions interp_opts;
+  interp_opts.compiled = false;
+  CheckerOptions scalar_opts;
+  scalar_opts.vectorized = false;
+  const CheckerOptions vector_opts;
+  const CheckerOptions backends[] = {interp_opts, scalar_opts, vector_opts};
+  uint64_t vacuous = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 65537 + 29);
+    ExprPtr body =
+        rng.chance(3, 4) ? random_guarded(rng, 2) : random_formula(rng, 2);
+    // The checker strips the whole leading always chain.
+    while (body->kind == psl::ExprKind::kAlways) body = body->lhs;
+    const ExprPtr guard = rng.chance(1, 3) ? random_guard(rng, 1) : nullptr;
+    const Trace trace = random_trace(rng, 14);
+    const std::vector<tlm::Snapshot> snaps = to_snapshots(trace, {"a", "b", "c"});
+    const CheckerStats want = oracle_stats(body, guard, trace);
+    vacuous += want.vacuous_passes;
+    const std::string what = psl::to_string(body);
+    for (const CheckerOptions& opts : backends) {
+      PropertyChecker by_name("p", psl::always(body), guard, opts);
+      PropertyChecker by_slot("p", psl::always(body), guard, opts);
+      for (size_t k = 0; k < trace.size(); ++k) {
+        by_name.on_event(trace[k].time, trace[k].values);
+        by_slot.on_event(trace[k].time, abv::ObservablesContext(snaps[k]));
+      }
+      by_name.finish();
+      by_slot.finish();
+      expect_same_stats(by_name.stats(), want, what);
+      expect_same_stats(by_slot.stats(), want, what);
+    }
+  }
+  EXPECT_GE(vacuous, 200u);  // the fast path was taken
+}
+
+void expect_same_stats(const CheckerStats& a, const CheckerStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.activations, b.activations) << what;
+  EXPECT_EQ(a.failures, b.failures) << what;
+  EXPECT_EQ(a.holds, b.holds) << what;
+  EXPECT_EQ(a.trivial, b.trivial) << what;
+  EXPECT_EQ(a.uncompleted, b.uncompleted) << what;
+  EXPECT_EQ(a.steps, b.steps) << what;
+  EXPECT_EQ(a.real_passes, b.real_passes) << what;
+  EXPECT_EQ(a.vacuous_passes, b.vacuous_passes) << what;
+  EXPECT_EQ(a.node_visits, b.node_visits) << what;
+}
+
+void expect_same_stats(const WrapperStats& a, const WrapperStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.transactions, b.transactions) << what;
+  EXPECT_EQ(a.activations, b.activations) << what;
+  EXPECT_EQ(a.failures, b.failures) << what;
+  EXPECT_EQ(a.holds, b.holds) << what;
+  EXPECT_EQ(a.trivial, b.trivial) << what;
+  EXPECT_EQ(a.uncompleted, b.uncompleted) << what;
+  EXPECT_EQ(a.reuses, b.reuses) << what;
+  EXPECT_EQ(a.steps, b.steps) << what;
+  EXPECT_EQ(a.real_passes, b.real_passes) << what;
+  EXPECT_EQ(a.vacuous_passes, b.vacuous_passes) << what;
+  EXPECT_EQ(a.missed_deadlines, b.missed_deadlines) << what;
+  EXPECT_EQ(a.node_visits, b.node_visits) << what;
+  EXPECT_EQ(a.pool_capacity, b.pool_capacity) << what;
+  EXPECT_EQ(a.pool_dropped, b.pool_dropped) << what;
+  EXPECT_EQ(a.table_peak, b.table_peak) << what;
+}
+
+// Slot-bound atoms are a pure speed-up: checkers and wrappers fed the same
+// events through a positional dictionary (in a scrambled slot order, with an
+// extra unused observable) or by name reach byte-identical stats, latency
+// histograms and failure logs on every backend.
+TEST(IrSlotBinding, SlotAndNamePathsAgreeOnEveryBackend) {
+  CheckerOptions interp_opts;
+  interp_opts.compiled = false;
+  CheckerOptions scalar_opts;
+  scalar_opts.vectorized = false;
+  const CheckerOptions vector_opts;
+  const CheckerOptions backends[] = {interp_opts, scalar_opts, vector_opts};
+  for (int seed = 0; seed < 200; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 104729 + 17);
+    const ExprPtr body =
+        rng.chance(1, 2) ? random_guarded(rng, 2) : random_formula(rng, 3);
+    const ExprPtr formula = psl::always(body);
+    const ExprPtr guard = rng.chance(1, 3) ? random_guard(rng, 1) : nullptr;
+    const Trace trace = random_trace(rng, 16);
+    const std::vector<tlm::Snapshot> snaps =
+        to_snapshots(trace, {"b", "zz", "c", "a"});
+    const std::string what = psl::to_string(formula);
+    for (const CheckerOptions& opts : backends) {
+      PropertyChecker by_name("p", formula, guard, opts);
+      PropertyChecker by_slot("p", formula, guard, opts);
+      TlmCheckerWrapper w_name({"q", formula, {guard}}, 10, opts);
+      TlmCheckerWrapper w_slot({"q", formula, {guard}}, 10, opts);
+      for (size_t k = 0; k < trace.size(); ++k) {
+        const abv::ObservablesContext ctx(snaps[k]);
+        by_name.on_event(trace[k].time, trace[k].values);
+        by_slot.on_event(trace[k].time, ctx);
+        w_name.on_transaction(trace[k].time, trace[k].values);
+        w_slot.on_transaction(trace[k].time, ctx);
+      }
+      by_name.finish();
+      by_slot.finish();
+      w_name.finish();
+      w_slot.finish();
+      EXPECT_TRUE(by_slot.binding_error().empty()) << by_slot.binding_error();
+      expect_same_stats(by_name.stats(), by_slot.stats(), what);
+      expect_same_stats(w_name.stats(), w_slot.stats(), what);
+      EXPECT_EQ(by_name.latency_histogram().counts(),
+                by_slot.latency_histogram().counts())
+          << what;
+      EXPECT_EQ(w_name.latency_histogram().counts(),
+                w_slot.latency_histogram().counts())
+          << what;
+      ASSERT_EQ(w_name.failures().size(), w_slot.failures().size()) << what;
+      for (size_t i = 0; i < w_name.failures().size(); ++i) {
+        EXPECT_EQ(w_name.failures()[i].time, w_slot.failures()[i].time)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(IrSlotBinding, RebindsWhenTheDictionaryChanges) {
+  // a == b with a signal on both sides, then the same values under a
+  // permuted dictionary: the second event must rebind, not reuse slots.
+  psl::Atom eq;
+  eq.lhs = "a";
+  eq.op = psl::CmpOp::kEq;
+  eq.rhs_is_signal = true;
+  eq.rhs_signal = "b";
+  const auto program = Program::compile(psl::atom(eq));
+  AtomSlots slots;
+  slots.reset("p", program.get());
+  BoolCode code = slots.compile(psl::not_(psl::sig("c")));
+
+  auto first = std::make_shared<const tlm::Snapshot::Keys>(
+      tlm::Snapshot::Keys{"a", "b", "c"});
+  tlm::Snapshot s1(first);
+  s1.set("a", 4);
+  s1.set("b", 4);
+  s1.set("c", 0);
+  const uint8_t* bits = slots.load(abv::ObservablesContext(s1));
+  ASSERT_NE(bits, nullptr);
+  EXPECT_EQ(bits[0], 1);  // a == b
+  EXPECT_EQ(bits[1], 0);  // c
+  EXPECT_TRUE(code.eval(bits));  // !c
+
+  auto second = std::make_shared<const tlm::Snapshot::Keys>(
+      tlm::Snapshot::Keys{"c", "b", "a"});
+  tlm::Snapshot s2(second);
+  s2.set("a", 4);
+  s2.set("b", 5);
+  s2.set("c", 1);
+  bits = slots.load(abv::ObservablesContext(s2));
+  ASSERT_NE(bits, nullptr);
+  EXPECT_EQ(bits[0], 0);
+  EXPECT_EQ(bits[1], 1);
+  EXPECT_FALSE(code.eval(bits));
+  EXPECT_FALSE(slots.failed());
+
+  // A context without a positional view keeps the name path.
+  MapContext by_name({{"a", 1}, {"b", 1}, {"c", 1}});
+  EXPECT_EQ(slots.load(by_name), nullptr);
+  EXPECT_FALSE(slots.failed());
+}
+
+TEST(IrSlotBinding, MissingObservableFailsAtBindTime) {
+  PropertyChecker checker("p7", psl::always(psl::or_(psl::not_(psl::sig("ds")),
+                                                     psl::next(1, psl::sig("rdy")))),
+                          nullptr);
+  auto keys = std::make_shared<const tlm::Snapshot::Keys>(
+      tlm::Snapshot::Keys{"ds", "out"});
+  tlm::Snapshot snap(keys);
+  snap.set("ds", 1);
+  checker.on_event(10, abv::ObservablesContext(snap));
+  checker.on_event(20, abv::ObservablesContext(snap));
+  checker.finish();
+  EXPECT_EQ(checker.binding_error(),
+            "property 'p7': observable 'rdy' missing from the record "
+            "dictionary");
+  EXPECT_EQ(checker.stats().activations, 0u);  // inert from the first event
 }
 
 // ---- Pass manager ---------------------------------------------------------------

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "abv/rtl_env.h"
+#include "abv/tlm_env.h"
 #include "models/testbench.h"
 #include "psl/parser.h"
+#include "support/rng.h"
 #include "tlm/record_source.h"
 #include "tlm/transaction.h"
 
@@ -313,6 +316,40 @@ TEST(TracelogErrors, KindStringsAreDistinct) {
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
 }
 
+// Bytewise reference CRC: the textbook one-table loop the slicing-by-8
+// implementation must agree with.
+uint32_t crc32_bytewise(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(TracelogFormat, Crc32MatchesBytewiseReference) {
+  // The well-known check value of CRC-32/ISO-HDLC.
+  const std::string check = "123456789";
+  EXPECT_EQ(support::tracelog::crc32(
+                reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(support::tracelog::crc32(nullptr, 0), 0u);
+  Rng rng(0xC5C5);
+  std::vector<uint8_t> buf(4096 + 16);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.next());
+  // Random offsets exercise every head alignment, random lengths every
+  // tail length around the 8-byte word loop.
+  for (int i = 0; i < 500; ++i) {
+    const size_t offset = rng.below(16);
+    const size_t len = i < 40 ? static_cast<size_t>(i) : rng.below(4096);
+    const uint8_t* p = buf.data() + offset;
+    ASSERT_EQ(support::tracelog::crc32(p, len), crc32_bytewise(p, len))
+        << "offset " << offset << " len " << len;
+  }
+}
+
 TEST(TracelogMeta, ValidateChecksIdentity) {
   tlm::RecordStreamMeta actual = test_meta();
   actual.observables = *test_keys();
@@ -534,6 +571,85 @@ TEST(ReplayValidation, CorruptLogSurfacesIngestError) {
 
   const models::RunResult r = models::run_simulation(replay_config(config, log, 1));
   EXPECT_NE(r.ingest_error.find("truncated"), std::string::npos)
+      << r.ingest_error;
+}
+
+// DES56 TLM-AT records over a hand-built dictionary that lacks "rdy".
+std::vector<tlm::TransactionRecord> records_without_rdy(size_t n) {
+  auto keys = std::make_shared<const tlm::Snapshot::Keys>(tlm::Snapshot::Keys{
+      "ds", "indata", "key", "decrypt", "out", "monitor_en"});
+  std::vector<tlm::TransactionRecord> records;
+  for (size_t i = 0; i < n; ++i) {
+    tlm::TransactionRecord r;
+    r.start = 10 * (i + 1);
+    r.end = r.start;
+    r.observables = tlm::Snapshot(keys);
+    r.observables.set("ds", i % 2);
+    r.observables.set("monitor_en", 1);
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+const char kMissingRdy[] =
+    "observable 'rdy' missing from the record dictionary";
+
+// A dictionary lacking an observable a property reads fails that property's
+// slot binding at its first record; the environment reports the property
+// and the observable after the run (serial and sharded) instead of the
+// process aborting mid-run.
+TEST(ReplayValidation, MissingObservableFailsBindingLive) {
+  const std::vector<tlm::TransactionRecord> records = records_without_rdy(20);
+  for (size_t jobs : {1, 2}) {
+    abv::TlmAbvEnv env(10, jobs);
+    env.add_property(
+        psl::parse_tlm_property("q1: always (!ds || next_e[1,20](out)) @Tb")
+            .value());
+    env.add_property(
+        psl::parse_tlm_property("q2: always (!ds || next_e[1,20](rdy)) @Tb")
+            .value());
+    env.bind();
+    env.on_records(records.data(), records.data() + records.size());
+    env.finish();
+    EXPECT_EQ(env.binding_error(), std::string("property 'q2': ") + kMissingRdy)
+        << "jobs " << jobs;
+  }
+
+  sim::Kernel kernel;
+  abv::SignalBag bag;
+  abv::RtlAbvEnv rtl(kernel, bag);
+  rtl.add_property(
+      psl::parse_rtl_property("p8: always (!rdy || next(!rdy)) @clk_pos")
+          .value());
+  for (const tlm::TransactionRecord& r : records) {
+    rtl.on_sample(r.end, /*rising=*/true, r.observables);
+  }
+  rtl.finish();
+  EXPECT_EQ(rtl.binding_error(), std::string("property 'p8': ") + kMissingRdy);
+}
+
+TEST(ReplayValidation, MissingObservableFailsBindingOnReplay) {
+  const std::string log = temp_path("missing_rdy.rtabv");
+  {
+    tlm::RecordStreamMeta meta = test_meta();
+    TraceWriter writer(log, meta);
+    for (const tlm::TransactionRecord& r : records_without_rdy(40)) {
+      writer.append(r);
+    }
+    ASSERT_TRUE(writer.finish()) << writer.error();
+  }
+  // The config-checking replay entry point rejects the dictionary up front;
+  // the source overload skips that check, so the binding reports it.
+  TraceReader reader;
+  ASSERT_FALSE(reader.open(log).has_value());
+  TraceReplaySource source(std::move(reader));
+  models::RunConfig config;
+  config.design = models::Design::kDes56;
+  config.level = models::Level::kTlmAt;
+  config.checkers = 9;
+  const models::RunResult r = models::run_simulation(config, source);
+  EXPECT_EQ(r.ingest_error.rfind("property '", 0), 0u) << r.ingest_error;
+  EXPECT_NE(r.ingest_error.find(kMissingRdy), std::string::npos)
       << r.ingest_error;
 }
 

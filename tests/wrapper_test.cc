@@ -2,8 +2,10 @@
 // evaluation table, reset/reuse, activation rules and the Fig. 5 scenario.
 #include <gtest/gtest.h>
 
+#include "abv/snapshot_context.h"
 #include "checker/wrapper.h"
 #include "psl/parser.h"
+#include "tlm/transaction.h"
 
 namespace repro::checker {
 namespace {
@@ -248,6 +250,108 @@ TEST(Wrapper, TablePeakTracksConcurrentScheduledInstances) {
   EXPECT_EQ(wrapper.stats().table_peak, 5u);
   wrapper.finish();
 }
+
+// ---- Anchor-resolved sessions (DESIGN.md §17) -----------------------------------
+//
+// A session whose derived antecedent is false at its firing transaction is
+// counted as a trivial vacuous hold without stepping a pooled instance, but
+// the pool arithmetic must be exactly that of the full path: a reuse when
+// the pool is non-empty (with the unbounded-pool cap applied on release),
+// today's allocation when it is empty. The expectations below are computed
+// by hand from the full path; each case runs by name and by slot.
+
+class WrapperAnchor : public ::testing::TestWithParam<bool> {
+ protected:
+  // One transaction carrying ds/rdy, by name or through a positional
+  // dictionary (the slot-bound fast path).
+  void send(TlmCheckerWrapper& wrapper, psl::TimeNs time, uint64_t ds,
+            uint64_t rdy) {
+    if (!GetParam()) {
+      transaction(wrapper, time, {{"ds", ds}, {"rdy", rdy}});
+      return;
+    }
+    tlm::Snapshot snap(keys_);
+    snap.set("ds", ds);
+    snap.set("rdy", rdy);
+    wrapper.on_transaction(time, abv::ObservablesContext(snap));
+  }
+
+ private:
+  std::shared_ptr<const tlm::Snapshot::Keys> keys_ =
+      std::make_shared<const tlm::Snapshot::Keys>(
+          tlm::Snapshot::Keys{"rdy", "ds"});
+};
+
+TEST_P(WrapperAnchor, BoundedPoolReusesWithoutGrowing) {
+  // Lifetime 2: two pre-allocated instances serve every session.
+  TlmCheckerWrapper wrapper(tlm("always (!ds || next_e[1,20](rdy)) @Tb"), 10);
+  send(wrapper, 10, 1, 0);  // reuse 1, scheduled for 30
+  send(wrapper, 20, 0, 0);  // vacuous: reuse 2, back on the pool
+  send(wrapper, 30, 1, 1);  // due instance holds; reuse 3, scheduled for 50
+  send(wrapper, 40, 0, 0);  // vacuous: reuse 4
+  send(wrapper, 50, 0, 1);  // due instance holds; vacuous: reuse 5
+  wrapper.finish();
+  const WrapperStats& s = wrapper.stats();
+  EXPECT_EQ(s.activations, 5u);
+  EXPECT_EQ(s.reuses, 5u);
+  EXPECT_EQ(s.pool_capacity, 2u);
+  EXPECT_EQ(s.pool_dropped, 0u);
+  EXPECT_EQ(s.table_peak, 1u);
+  EXPECT_EQ(s.trivial, 3u);
+  EXPECT_EQ(s.holds, 5u);
+  EXPECT_EQ(s.vacuous_passes, 3u);
+  EXPECT_EQ(s.real_passes, 2u);
+  EXPECT_EQ(s.steps, 7u);  // 5 anchors + 2 due evaluations
+}
+
+TEST_P(WrapperAnchor, UnboundedPoolAtTheDropCap) {
+  // Until-based: the free pool is capped at the active high-water mark (1).
+  TlmCheckerWrapper wrapper(tlm("always (!ds || (!rdy until rdy)) @Tb"), 10);
+  send(wrapper, 10, 1, 0);  // A allocated (capacity 1), dense
+  send(wrapper, 20, 0, 0);  // empty pool: B allocated (capacity 2), pooled
+  send(wrapper, 30, 0, 1);  // A holds, pool full: dropped (capacity 1);
+                            // vacuous: reuse 1 of B, pool stays at the cap
+  EXPECT_EQ(wrapper.stats().pool_dropped, 1u);
+  EXPECT_EQ(wrapper.stats().pool_capacity, 1u);
+  EXPECT_EQ(wrapper.stats().reuses, 1u);
+  send(wrapper, 40, 1, 0);  // reuse 2 of B, dense
+  send(wrapper, 50, 0, 0);  // empty pool: C allocated (capacity 2), pooled
+  send(wrapper, 60, 0, 1);  // B holds, dropped (capacity 1); vacuous: reuse 3
+  wrapper.finish();
+  const WrapperStats& s = wrapper.stats();
+  EXPECT_EQ(s.activations, 6u);
+  EXPECT_EQ(s.reuses, 3u);
+  EXPECT_EQ(s.pool_capacity, 1u);
+  EXPECT_EQ(s.pool_dropped, 2u);
+  EXPECT_EQ(s.table_peak, 0u);
+  EXPECT_EQ(s.trivial, 4u);
+  EXPECT_EQ(s.holds, 6u);
+  EXPECT_EQ(s.vacuous_passes, 4u);
+}
+
+TEST_P(WrapperAnchor, EmptyPoolOnFirstActivationAllocates) {
+  TlmCheckerWrapper wrapper(tlm("always (!ds || (!rdy until rdy)) @Tb"), 10);
+  EXPECT_EQ(wrapper.stats().pool_capacity, 0u);
+  send(wrapper, 10, 0, 0);  // full path: allocated, retired, pooled
+  EXPECT_EQ(wrapper.stats().pool_capacity, 1u);
+  EXPECT_EQ(wrapper.stats().reuses, 0u);
+  send(wrapper, 20, 0, 0);  // pooled instance counted as a reuse
+  wrapper.finish();
+  const WrapperStats& s = wrapper.stats();
+  EXPECT_EQ(s.activations, 2u);
+  EXPECT_EQ(s.reuses, 1u);
+  EXPECT_EQ(s.pool_capacity, 1u);
+  EXPECT_EQ(s.pool_dropped, 0u);
+  EXPECT_EQ(s.table_peak, 0u);
+  EXPECT_EQ(s.trivial, 2u);
+  EXPECT_EQ(s.vacuous_passes, 2u);
+  EXPECT_EQ(wrapper.latency_histogram().total(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Path, WrapperAnchor, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "BySlot" : "ByName";
+                         });
 
 }  // namespace
 }  // namespace repro::checker
