@@ -1,6 +1,7 @@
 #include "abv/rtl_env.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "abv/snapshot_context.h"
 #include "support/tracelog.h"
@@ -9,7 +10,14 @@ namespace repro::abv {
 
 uint64_t SignalBag::value(std::string_view name) const {
   auto it = getters_.find(name);
-  assert(it != getters_.end() && "signal not registered in SignalBag");
+  if (it == getters_.end()) {
+    // A property referenced a signal the testbench never registered. Under
+    // NDEBUG an assert would vanish and the call below would be UB; fail
+    // fast with the name instead, as ObservablesContext::value does.
+    std::fprintf(stderr, "fatal: signal '%.*s' not registered in SignalBag\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
   return it->second();
 }
 

@@ -43,6 +43,15 @@ TEST(SignalBag, ReadsSignalsAndGetters) {
   EXPECT_EQ(bag.value("derived"), 99u);
 }
 
+TEST(SignalBagDeathTest, UnregisteredNameAbortsWithTheName) {
+  sim::Kernel kernel;
+  sim::Signal<uint64_t> data(kernel, "data", 5);
+  SignalBag bag;
+  bag.add("data", data);
+  EXPECT_DEATH(bag.value("missing_sig"),
+               "signal 'missing_sig' not registered in SignalBag");
+}
+
 // ---- RtlAbvEnv -------------------------------------------------------------------
 
 TEST(RtlAbvEnv, SamplesAfterDesignSettles) {

@@ -1,12 +1,10 @@
-// Tests for the sharded evaluation engine and its thread pool: the engine
-// must produce bit-identical per-property verdicts, stats and failure logs
-// for any worker count, because every wrapper observes the same ordered
-// transaction stream regardless of sharding.
+// Tests for the sharded evaluation engine: it must produce bit-identical
+// per-property verdicts, stats and failure logs for any worker count,
+// because every wrapper observes the same ordered transaction stream
+// regardless of sharding.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "abv/eval_engine.h"
@@ -14,59 +12,10 @@
 #include "checker/wrapper.h"
 #include "models/testbench.h"
 #include "psl/parser.h"
-#include "support/thread_pool.h"
 #include "tlm/transaction.h"
 
 namespace repro {
 namespace {
-
-// ---- ThreadPool ------------------------------------------------------------------
-
-TEST(ThreadPool, RunsAllTasksWithWorkers) {
-  support::ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.run_all(tasks);
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ZeroWorkersRunsOnCaller) {
-  support::ThreadPool pool(0);
-  const std::thread::id caller = std::this_thread::get_id();
-  bool on_caller = false;
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&] { on_caller = std::this_thread::get_id() == caller; });
-  pool.run_all(tasks);
-  EXPECT_TRUE(on_caller);
-}
-
-TEST(ThreadPool, RunAllIsABarrierAcrossRounds) {
-  // Each round must complete before the next starts: with a per-round
-  // counter, no task of round k may observe a value from round k+1.
-  support::ThreadPool pool(2);
-  int rounds_done = 0;  // unsynchronized on purpose: run_all must order it
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> in_round{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 8; ++i) {
-      tasks.push_back([&in_round] { in_round.fetch_add(1); });
-    }
-    pool.run_all(tasks);
-    EXPECT_EQ(in_round.load(), 8);
-    ++rounds_done;
-  }
-  EXPECT_EQ(rounds_done, 50);
-}
-
-TEST(ThreadPool, EmptyRoundIsANoOp) {
-  support::ThreadPool pool(2);
-  std::vector<std::function<void()>> tasks;
-  pool.run_all(tasks);  // must not hang
-}
 
 // ---- EvalEngine ------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-// Tests for the tooling layer: CSV trace I/O, the VCD writer, and the JSON
-// report contract of the psl_lint analysis driver.
+// Tests for the tooling layer: CSV trace I/O and the JSON report contract of
+// the psl_lint analysis driver.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,10 +8,6 @@
 #include "checker/trace_io.h"
 #include "models/properties.h"
 #include "models/testbench.h"
-#include "sim/clock.h"
-#include "sim/kernel.h"
-#include "sim/signal.h"
-#include "sim/vcd.h"
 #include "support/json.h"
 
 namespace repro {
@@ -114,69 +110,6 @@ TEST(PslLintAnalysisJson, SuiteReportRoundTripsThroughJsonReader) {
   // A clean suite lints with zero errors and zero warnings.
   EXPECT_EQ(doc->find("totals")->find("errors")->number, 0);
   EXPECT_EQ(doc->find("totals")->find("warnings")->number, 0);
-}
-
-// ---- VCD writer ----------------------------------------------------------------
-
-TEST(Vcd, EmitsHeaderInitialValuesAndChanges) {
-  sim::Kernel kernel;
-  sim::Signal<bool> flag(kernel, "flag", false);
-  sim::Signal<uint64_t> data(kernel, "data", 3);
-  std::ostringstream os;
-  sim::VcdWriter vcd(kernel, os, "duv");
-  vcd.add(flag);
-  vcd.add(data, 8);
-  vcd.start_dump();
-
-  kernel.schedule_at(10, [&] { flag.write(true); });
-  kernel.schedule_at(20, [&] { data.write(0b101); });
-  kernel.run_all();
-
-  const std::string out = os.str();
-  EXPECT_NE(out.find("$timescale 1ns $end"), std::string::npos);
-  EXPECT_NE(out.find("$scope module duv $end"), std::string::npos);
-  EXPECT_NE(out.find("$var wire 1 ! flag $end"), std::string::npos);
-  EXPECT_NE(out.find("$var wire 8 \" data $end"), std::string::npos);
-  // Initial values inside $dumpvars.
-  EXPECT_NE(out.find("0!"), std::string::npos);
-  EXPECT_NE(out.find("b11 \""), std::string::npos);
-  // Timestamped changes.
-  EXPECT_NE(out.find("#10\n1!"), std::string::npos);
-  EXPECT_NE(out.find("#20\nb101 \""), std::string::npos);
-  EXPECT_EQ(vcd.changes_written(), 4u);  // 2 initial + 2 changes
-}
-
-TEST(Vcd, SameTimestampWrittenOnce) {
-  sim::Kernel kernel;
-  sim::Signal<bool> a(kernel, "a", false);
-  sim::Signal<bool> b(kernel, "b", false);
-  std::ostringstream os;
-  sim::VcdWriter vcd(kernel, os);
-  vcd.add(a);
-  vcd.add(b);
-  vcd.start_dump();
-  kernel.schedule_at(10, [&] {
-    a.write(true);
-    b.write(true);
-  });
-  kernel.run_all();
-  const std::string out = os.str();
-  // Only one "#10" marker for both changes.
-  EXPECT_EQ(out.find("#10"), out.rfind("#10"));
-}
-
-TEST(Vcd, WorksWithClockedDesign) {
-  sim::Kernel kernel;
-  sim::Clock clock(kernel, "clk", 10, 0);
-  sim::Signal<uint64_t> counter(kernel, "counter", 0);
-  clock.on_posedge([&] { counter.write(counter.read() + 1); });
-  std::ostringstream os;
-  sim::VcdWriter vcd(kernel, os);
-  vcd.add(counter, 16);
-  vcd.start_dump();
-  kernel.run(50);
-  EXPECT_GE(vcd.changes_written(), 6u);  // initial + 5-6 increments
-  EXPECT_NE(os.str().find("#40"), std::string::npos);
 }
 
 }  // namespace
