@@ -2,6 +2,8 @@
 // and III.2, run through the full simulation harness at every abstraction
 // level, plus the negative results (naive reuse and the paper-exact push
 // mode spuriously failing at TLM-AT) and bug detection.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "models/properties.h"
@@ -169,6 +171,61 @@ TEST(Scaling, TransactionCountsMatchProtocol) {
   const RunResult ca = run(Design::kDes56, Level::kTlmCa, 0, 50);
   // One transaction per cycle: at least 18 cycles per op.
   EXPECT_GT(ca.transactions, 50u * 18u);
+}
+
+// ---- Golden run scalars ------------------------------------------------------------
+
+// The scalar outcome of every (design, level) cell at 0 and all checkers
+// (DES56 100 ops, ColorConv 150 pixels, seed 42). Kernel event and delta
+// counts pin the scheduling each level's bench and ingest path produce. With
+// checkers the TLM recorder is active, so the kernel is stepped through the
+// live record source and the TLM-AT targets emit their extra timing-point
+// records: both counts differ from the bare run.
+struct GoldenRun {
+  Design design;
+  Level level;
+  size_t checkers;
+  sim::Time sim_end_ns;
+  uint64_t kernel_events;
+  uint64_t delta_cycles;
+  uint64_t transactions;
+  size_t ops_completed;
+  size_t mismatches;
+  size_t properties_deleted;
+  bool functional_ok;
+};
+
+constexpr GoldenRun kGoldenRuns[] = {
+    {Design::kDes56, Level::kRtl, 0, 19635, 3928, 3928, 0, 100, 0, 0, true},
+    {Design::kDes56, Level::kRtl, 9, 19635, 9820, 9820, 0, 100, 0, 0, true},
+    {Design::kDes56, Level::kTlmCa, 0, 19630, 1964, 1964, 1963, 100, 0, 0, true},
+    {Design::kDes56, Level::kTlmCa, 9, 19630, 3927, 3927, 1963, 100, 0, 0, true},
+    {Design::kDes56, Level::kTlmAt, 0, 19630, 101, 101, 200, 100, 0, 0, true},
+    {Design::kDes56, Level::kTlmAt, 9, 19630, 501, 478, 400, 100, 0, 0, true},
+    {Design::kColorConv, Level::kRtl, 0, 2435, 488, 488, 0, 150, 0, 0, true},
+    {Design::kColorConv, Level::kRtl, 12, 2435, 1220, 1220, 0, 150, 0, 0, true},
+    {Design::kColorConv, Level::kTlmCa, 0, 2430, 244, 244, 243, 150, 0, 0, true},
+    {Design::kColorConv, Level::kTlmCa, 12, 2430, 487, 487, 243, 150, 0, 0, true},
+    {Design::kColorConv, Level::kTlmAt, 0, 2430, 8, 8, 300, 150, 0, 0, true},
+    {Design::kColorConv, Level::kTlmAt, 12, 2430, 228, 221, 314, 150, 0, 0, true},
+};
+
+TEST(GoldenRunResult, EveryCellAtZeroAndAllCheckers) {
+  for (const GoldenRun& g : kGoldenRuns) {
+    const size_t workload = g.design == Design::kDes56 ? 100 : 150;
+    const RunResult r = run(g.design, g.level, g.checkers, workload);
+    SCOPED_TRACE(std::string(to_string(g.design)) + " " + to_string(g.level) +
+                 " checkers=" + std::to_string(g.checkers));
+    EXPECT_EQ(r.sim_end_ns, g.sim_end_ns);
+    EXPECT_EQ(r.kernel_events, g.kernel_events);
+    EXPECT_EQ(r.delta_cycles, g.delta_cycles);
+    EXPECT_EQ(r.transactions, g.transactions);
+    EXPECT_EQ(r.ops_completed, g.ops_completed);
+    EXPECT_EQ(r.mismatches, g.mismatches);
+    EXPECT_EQ(r.properties_deleted, g.properties_deleted);
+    EXPECT_EQ(r.functional_ok, g.functional_ok);
+    EXPECT_TRUE(r.ingest_error.empty()) << r.ingest_error;
+  }
 }
 
 }  // namespace
