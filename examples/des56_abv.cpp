@@ -263,6 +263,10 @@ int main(int argc, char** argv) {
 
   config.level = Level::kRtl;
   const models::RunResult rtl = models::run_simulation(config);
+  if (!rtl.ingest_error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], rtl.ingest_error.c_str());
+    return 2;
+  }
   if (!report_analysis("RTL", config, rtl)) return 1;
   std::printf("RTL    : %7.3f s  functional=%s properties=%s\n", rtl.wall_seconds,
               rtl.functional_ok ? "ok" : "FAIL", rtl.properties_ok ? "ok" : "FAIL");

@@ -563,11 +563,15 @@ bool TraceWriter::finish() {
 // ---- TraceReader -----------------------------------------------------------
 
 std::optional<TraceError> TraceReader::open(const std::string& path) {
+  std::string bytes;
+  std::optional<TraceError> e = slurp(path, bytes);
+  return e ? e : parse(bytes);
+}
+
+std::optional<TraceError> TraceReader::parse(const std::string& bytes) {
   meta_ = {};
   records_.clear();
   frame_sizes_.clear();
-  std::string bytes;
-  if (std::optional<TraceError> e = slurp(path, bytes)) return e;
 
   if (starts_with_jsonl(bytes)) {
     // JSONL debug encoding: meta line, then one record object per line.

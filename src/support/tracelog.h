@@ -125,6 +125,8 @@ class TraceReader {
  public:
   // Returns the (distinct-kind) rejection reason, or nullopt on success.
   std::optional<TraceError> open(const std::string& path);
+  // Same over a log already in memory (either encoding).
+  std::optional<TraceError> parse(const std::string& bytes);
 
   const tlm::RecordStreamMeta& meta() const { return meta_; }
   const std::vector<tlm::TransactionRecord>& records() const {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -373,6 +374,35 @@ TEST(MetricsDeterminism, DeterministicKeysAgreeAcrossJobs) {
     EXPECT_EQ(ha.counts(), hb.counts()) << jobs;
     EXPECT_EQ(ha.sum(), hb.sum()) << jobs;
     EXPECT_EQ(ha.max(), hb.max()) << jobs;
+  }
+}
+
+// An output path that cannot be opened fails the run up front with the path
+// in the ingest error, before anything simulates.
+TEST(RunOutputs, UnwritablePathsFailTheRun) {
+  // A regular file's "child" can never be created, whoever runs the test.
+  const std::string blocked = testing::TempDir() + "outputs_blocker";
+  { std::ofstream(blocked) << "x"; }
+  models::RunConfig config;
+  config.design = models::Design::kDes56;
+  config.level = models::Level::kTlmAt;
+  config.workload = 20;
+  config.checkers = 9;
+  config.observability.metrics_path = blocked + "/m.jsonl";
+  models::RunResult r = models::run_simulation(config);
+  EXPECT_NE(r.ingest_error.find("'" + blocked + "/m.jsonl'"), std::string::npos)
+      << r.ingest_error;
+  EXPECT_EQ(r.kernel_events, 0u);
+
+  config.observability.metrics_path.clear();
+  config.analysis.prune = analysis::PruneMode::kSafe;
+  config.observability.prune_plan_path = blocked + "/plan.json";
+  for (models::Level level : {models::Level::kRtl, models::Level::kTlmAt}) {
+    config.level = level;
+    r = models::run_simulation(config);
+    EXPECT_NE(r.ingest_error.find("'" + blocked + "/plan.json'"),
+              std::string::npos)
+        << r.ingest_error;
   }
 }
 

@@ -1,69 +1,16 @@
-// Tests for the tooling layer: CSV trace I/O and the JSON report contract of
-// the psl_lint analysis driver.
+// Tests for the tooling layer: the JSON report contract of the psl_lint
+// analysis driver.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "analysis/driver.h"
-#include "checker/trace_io.h"
 #include "models/properties.h"
 #include "models/testbench.h"
 #include "support/json.h"
 
 namespace repro {
 namespace {
-
-// ---- Trace CSV ----------------------------------------------------------------
-
-TEST(TraceIo, ParsesWellFormedTrace) {
-  auto trace = checker::parse_trace_csv(
-      "time,ds,out\n"
-      "10,1,0\n"
-      "# comment line\n"
-      "20,0,0x2A\n");
-  ASSERT_TRUE(trace.ok()) << trace.error().to_string();
-  ASSERT_EQ(trace.value().size(), 2u);
-  EXPECT_EQ(trace.value()[0].time, 10u);
-  EXPECT_EQ(trace.value()[0].values.value("ds"), 1u);
-  EXPECT_EQ(trace.value()[1].time, 20u);
-  EXPECT_EQ(trace.value()[1].values.value("out"), 42u);
-}
-
-TEST(TraceIo, RejectsBadHeader) {
-  EXPECT_FALSE(checker::parse_trace_csv("ds,out\n10,1,0\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time\n10\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("").ok());
-}
-
-TEST(TraceIo, RejectsWrongArity) {
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,1,2\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time,a,b\n10,1\n").ok());
-}
-
-TEST(TraceIo, RejectsNonIncreasingTime) {
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,1\n10,0\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n20,1\n10,0\n").ok());
-}
-
-TEST(TraceIo, RejectsMalformedValues) {
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\nten,1\n").ok());
-  EXPECT_FALSE(checker::parse_trace_csv("time,a\n10,0xZZ\n").ok());
-}
-
-TEST(TraceIo, RoundTrips) {
-  const char* text =
-      "time,a,b\n"
-      "10,1,100\n"
-      "25,0,200\n";
-  auto first = checker::parse_trace_csv(text);
-  ASSERT_TRUE(first.ok());
-  const std::string serialized = checker::to_csv(first.value());
-  auto second = checker::parse_trace_csv(serialized);
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(second.value().size(), 2u);
-  EXPECT_EQ(second.value()[1].time, 25u);
-  EXPECT_EQ(second.value()[1].values.value("b"), 200u);
-}
 
 // ---- psl_lint JSON report -------------------------------------------------------
 
