@@ -189,11 +189,12 @@ struct RunResult {
   // analysis_diagnostics.
   analysis::PrunePlan prune_plan;
   // Ingest failure: unreadable/corrupt replay input, meta that contradicts
-  // the run configuration, a record-log write error, or a record dictionary
-  // lacking an observable a property reads (the slot-binding error names
-  // both; see checker/slot_binding.h). When
-  // non-empty the other result fields are meaningless; CLIs report it and
-  // exit with the usage/configuration status.
+  // the run configuration, a record-log write error, a metrics or prune-plan
+  // path that cannot be written (checked before simulating), or a record
+  // dictionary lacking an observable a property reads (the slot-binding
+  // error names both; see checker/slot_binding.h). When non-empty the other
+  // result fields are meaningless; CLIs report it and exit with the
+  // usage/configuration status.
   std::string ingest_error;
 };
 
