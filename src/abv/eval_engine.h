@@ -24,9 +24,11 @@
 //     undrained batches always form a contiguous suffix of the sealed
 //     sequence; recycled arena segments and batch tickets can never be
 //     observed by a stale reader.
-//   - Failure witnesses deep-copy the observables they retain (see
-//     ObservablesContext::witness_values), so they stay valid after the
-//     arena recycles a segment.
+//   - Failure witnesses copy the values they retain into each wrapper's
+//     own flat ring and hold the record dictionary (see
+//     TlmCheckerWrapper::capture_witness), so they stay valid after the
+//     arena recycles a segment; names are materialized only when a failure
+//     is logged.
 //   - `jobs = 1` bypasses the arena and threads entirely and dispatches
 //     records synchronously, which is bit-identical to the historical
 //     serial path.

@@ -23,20 +23,4 @@ bool ObservablesContext::has(std::string_view name) const {
   return values_.get(name).has_value();
 }
 
-std::shared_ptr<const checker::WitnessValues> ObservablesContext::witness_values()
-    const {
-  if (witness_cache_ == nullptr && values_.keys() != nullptr) {
-    // Deep copy: names and values only, no pointers into the borrowed
-    // snapshot, so witness rings survive arena segment recycling.
-    auto snapshot = std::make_shared<checker::WitnessValues>();
-    const tlm::Snapshot::Keys& keys = *values_.keys();
-    snapshot->reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      snapshot->emplace_back(keys[i], values_.at(i));
-    }
-    witness_cache_ = std::move(snapshot);
-  }
-  return witness_cache_;
-}
-
 }  // namespace repro::abv

@@ -3,15 +3,16 @@
 // One context is built per evaluation point and shared read-only by every
 // checker sampling that instant — the TLM engine builds it over a record
 // held in the batch arena, the RTL environment over the per-edge sample
-// snapshot. The context only borrows the snapshot; witness_values() is the
-// escape hatch for data that must outlive it: it materializes a deep copy
-// (names and values, no pointers into the snapshot) exactly once and hands
-// out shared ownership, so failure-witness rings stay valid after the
-// arena recycles the backing segment.
+// snapshot. The context only borrows the snapshot and exposes it as the
+// positional view (dictionary + value array). Data that must outlive it is
+// copied out by the reader: a wrapper's failure-witness ring copies the
+// value array into its own flat ring and holds the dictionary, so witnesses
+// stay valid after the arena recycles the backing segment, and names are
+// only materialized when a failure is logged.
 #ifndef REPRO_ABV_SNAPSHOT_CONTEXT_H_
 #define REPRO_ABV_SNAPSHOT_CONTEXT_H_
 
-#include <memory>
+#include <cstdint>
 #include <string_view>
 
 #include "checker/checker.h"
@@ -34,15 +35,8 @@ class ObservablesContext : public checker::ValueContext {
   uint64_t value(std::string_view name) const override;
   bool has(std::string_view name) const override;
 
-  // Materialized once per context and shared, so the wrappers of one shard
-  // remembering the same transaction all hold the same immutable snapshot.
-  // The copy is deep: it stays valid after the batch arena recycles the
-  // record this context was built over.
-  std::shared_ptr<const checker::WitnessValues> witness_values() const override;
-
  private:
   const tlm::Snapshot& values_;
-  mutable std::shared_ptr<const checker::WitnessValues> witness_cache_;
 };
 
 }  // namespace repro::abv

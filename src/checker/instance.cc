@@ -470,9 +470,10 @@ Verdict Instance::finish() {
   return verdict_;
 }
 
-std::optional<psl::TimeNs> Instance::next_deadline() const {
+std::optional<psl::TimeNs> Instance::next_deadline(
+    std::vector<psl::TimeNs>& deadlines) const {
   if (verdict_ != Verdict::kPending) return std::nullopt;
-  std::vector<psl::TimeNs> deadlines;
+  deadlines.clear();
   const bool scheduled = block_   ? block_->collect_deadlines(lane_, deadlines)
                          : state_ ? state_->collect_deadlines(deadlines)
                                   : root_->collect_deadlines(deadlines);

@@ -78,7 +78,10 @@ class Instance {
   // Earliest wall-clock instant at which this instance must be evaluated
   // next, if the pending obligations are purely time-scheduled (next_e).
   // nullopt when the instance must see every event or is resolved.
-  std::optional<psl::TimeNs> next_deadline() const;
+  // `scratch` is caller-owned collection space, reused across calls so
+  // steady-state scheduling does not allocate; its contents are clobbered.
+  std::optional<psl::TimeNs> next_deadline(
+      std::vector<psl::TimeNs>& scratch) const;
 
   // Restores the instance to its fresh (pre-anchor) state for reuse.
   void reset();

@@ -26,8 +26,8 @@ enum class Verdict { kTrue, kFalse, kPending };
 const char* to_string(Verdict v);
 
 // The (name, value) pairs one evaluation event exposed, materialized for
-// failure diagnostics. Shared: every wrapper whose ring buffer remembers the
-// same event holds the same immutable snapshot.
+// failure diagnostics when a failure is logged (or, on the name path, by the
+// context itself; see ValueContext::witness_values).
 using WitnessValues = std::vector<std::pair<std::string, uint64_t>>;
 
 // One remembered evaluation event: the simulation (VCD) timestamp of the
@@ -72,9 +72,11 @@ class ValueContext {
   // provides (checked by has()).
   virtual uint64_t value(std::string_view name) const = 0;
   virtual bool has(std::string_view name) const = 0;
-  // Shareable snapshot of every signal this context exposes, for failure
-  // witnesses. nullptr when the context cannot enumerate its signals (the
-  // wrapper then skips witness capture for this event).
+  // Name-path snapshot of every signal this context exposes, for failure
+  // witnesses of contexts without a positional view (the wrapper copies a
+  // positional value array itself). nullptr when the context cannot
+  // enumerate its signals (the wrapper then skips witness capture for this
+  // event).
   virtual std::shared_ptr<const WitnessValues> witness_values() const {
     return nullptr;
   }

@@ -8,19 +8,25 @@ LiveRecordSource::LiveRecordSource(sim::Kernel& kernel,
                                    TransactionRecorder& recorder,
                                    RecordStreamMeta meta, sim::Time until)
     : kernel_(kernel), meta_(std::move(meta)), until_(until) {
-  recorder.subscribe(
-      [this](const TransactionRecord& record) { buffer_.push_back(record); });
+  recorder.subscribe([this](const TransactionRecord& record) {
+    if (size_ < buffer_.size()) {
+      buffer_[size_] = record;
+    } else {
+      buffer_.push_back(record);
+    }
+    ++size_;
+  });
 }
 
 RecordSpan LiveRecordSource::next() {
   // The records handed out last time die now; the consumer was told so.
-  buffer_.clear();
+  size_ = 0;
   // One timestamp can complete several transactions (a temporally-decoupled
   // burst, coinciding record deliveries); they form one span, preserving
   // the delivery order of the push path.
-  while (buffer_.empty() && kernel_.step(until_)) {
+  while (size_ == 0 && kernel_.step(until_)) {
   }
-  return {buffer_.data(), buffer_.data() + buffer_.size()};
+  return {buffer_.data(), buffer_.data() + size_};
 }
 
 }  // namespace repro::tlm

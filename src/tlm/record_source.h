@@ -11,6 +11,7 @@
 #ifndef REPRO_TLM_RECORD_SOURCE_H_
 #define REPRO_TLM_RECORD_SOURCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -74,7 +75,10 @@ class LiveRecordSource : public RecordSource {
   sim::Kernel& kernel_;
   RecordStreamMeta meta_;
   sim::Time until_;
+  // The current span is buffer_[0, size_). Elements past it are kept from
+  // earlier spans and copy-assigned over, reusing their heap buffers.
   std::vector<TransactionRecord> buffer_;
+  size_t size_ = 0;
 };
 
 }  // namespace repro::tlm

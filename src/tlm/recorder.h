@@ -7,7 +7,9 @@
 #ifndef REPRO_TLM_RECORDER_H_
 #define REPRO_TLM_RECORDER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -29,7 +31,9 @@ class TransactionRecorder {
   bool active() const { return !listeners_.empty(); }
 
   // Schedules delivery of `record` to all listeners at record.end.
-  // record.end must be >= the kernel's current time.
+  // record.end must be >= the kernel's current time. The record waits in a
+  // reusable slot; listeners see it by reference, valid only for the
+  // duration of the call.
   void emit(TransactionRecord record);
 
   // Counts a transaction that was not materialized (unmonitored run).
@@ -38,9 +42,17 @@ class TransactionRecorder {
   uint64_t transactions() const { return transactions_; }
 
  private:
+  void deliver(size_t slot);
+
   sim::Kernel& kernel_;
   std::vector<Listener> listeners_;
   uint64_t transactions_ = 0;
+  // Records awaiting delivery, one per scheduled kernel event. A deque so a
+  // listener that emits while a slot is being delivered cannot move it; a
+  // delivered slot goes back on the free list and is reused, so the kernel
+  // event captures only [this, slot] and fits std::function's inline buffer.
+  std::deque<TransactionRecord> slots_;
+  std::vector<size_t> free_slots_;
 };
 
 }  // namespace repro::tlm

@@ -216,7 +216,8 @@ TEST(Instance, NextDeadlineReportsNextEpsTargets) {
   Instance instance(parse("next_e[1,30](a) && next_e[2,50](b)"));
   const Observation o = obs(100, {{"a", 0}, {"b", 0}});
   instance.step(Event{o.time, &o.values});
-  const auto deadline = instance.next_deadline();
+  std::vector<psl::TimeNs> scratch;
+  const auto deadline = instance.next_deadline(scratch);
   ASSERT_TRUE(deadline.has_value());
   EXPECT_EQ(*deadline, 130u);
 }
@@ -225,7 +226,8 @@ TEST(Instance, NextDeadlineAbsentForDenseObligations) {
   Instance instance(parse("p until q"));
   const Observation o = obs(10, {{"p", 1}, {"q", 0}});
   instance.step(Event{o.time, &o.values});
-  EXPECT_FALSE(instance.next_deadline().has_value());
+  std::vector<psl::TimeNs> scratch;
+  EXPECT_FALSE(instance.next_deadline(scratch).has_value());
 }
 
 // ---- PropertyChecker ---------------------------------------------------------------

@@ -292,19 +292,21 @@ TEST_P(IrBackendParity, CompiledMatchesInterpreterAndReference) {
         std::make_shared<const ProgramBatch>(program));
     lane = std::make_unique<Instance>(block, block->allocate_lane());
   }
+  std::vector<psl::TimeNs> scratch;
   for (size_t k = 0; k < trace.size(); ++k) {
     const Event ev{trace[k].time, &trace[k].values};
     const Verdict vi = interpreted.step(ev);
     const Verdict vc = compiled.step(ev);
     ASSERT_EQ(vc, vi) << "formula: " << psl::to_string(formula)
                       << "\nprefix length: " << k + 1;
-    ASSERT_EQ(compiled.next_deadline(), interpreted.next_deadline())
+    ASSERT_EQ(compiled.next_deadline(scratch),
+              interpreted.next_deadline(scratch))
         << "formula: " << psl::to_string(formula) << "\nprefix length: " << k + 1;
     if (lane != nullptr) {
       ASSERT_EQ(lane->step(ev), vc)
           << "vector lane diverged: " << psl::to_string(formula)
           << "\nprefix length: " << k + 1;
-      ASSERT_EQ(lane->next_deadline(), compiled.next_deadline())
+      ASSERT_EQ(lane->next_deadline(scratch), compiled.next_deadline(scratch))
           << "formula: " << psl::to_string(formula)
           << "\nprefix length: " << k + 1;
     }

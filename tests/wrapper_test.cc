@@ -212,23 +212,28 @@ TEST(Wrapper, EndOfSimTableFailureNotReportedAfterLastEvent) {
   EXPECT_EQ(wrapper.failures()[0].time, 10u);
 }
 
-TEST(Wrapper, UnboundedFreePoolIsCappedAtActiveHighWaterMark) {
-  // Until-based property: the pool must not retain more instances than were
-  // ever concurrently active. Sequence engineered so a retirement would
-  // overflow the cap: instance A goes dense (peak_active = 1), a second
-  // instance resolves trivially and is pooled, then A retires into an
-  // already-full pool and must be dropped.
+TEST(Wrapper, UnboundedFreePoolIsCappedAtInUseHighWaterMark) {
+  // Until-based property: the pool retains at most as many instances as
+  // were ever in use at once, counting the one held at a firing. Derivation
+  // (in use = scheduled + dense + the acquired instance):
+  //   10: pool empty, A allocated (capacity 1, in use 1), pending -> dense.
+  //   20: A pending; the firing finds the pool empty and allocates B
+  //       (capacity 2, in use 2: A dense + B held). B resolves trivially
+  //       and is pooled: pool 0 < 2.
+  //   30: A resolves and is pooled: pool 1 < 2, so nothing is dropped. The
+  //       vacuous firing reuses the top instance (A) and pools it again.
+  // The cap (2) is never exceeded, so both instances stay alive.
   TlmCheckerWrapper wrapper(tlm("always (!ds || (!rdy until rdy)) @Tb"), 10);
   transaction(wrapper, 10, {{"ds", 1}, {"rdy", 0}});  // A allocated, dense
   EXPECT_EQ(wrapper.stats().pool_capacity, 1u);
   transaction(wrapper, 20, {{"ds", 0}, {"rdy", 0}});  // B allocated, trivial
   EXPECT_EQ(wrapper.stats().pool_capacity, 2u);
-  transaction(wrapper, 30, {{"ds", 0}, {"rdy", 1}});  // A resolves: dropped
+  transaction(wrapper, 30, {{"ds", 0}, {"rdy", 1}});  // A resolves: pooled
   wrapper.finish();
   EXPECT_EQ(wrapper.stats().failures, 0u);
-  EXPECT_EQ(wrapper.stats().pool_dropped, 1u);
-  // Live instances (pooled, nothing active) match the high-water mark.
-  EXPECT_EQ(wrapper.stats().pool_capacity, 1u);
+  EXPECT_EQ(wrapper.stats().pool_dropped, 0u);
+  // Live instances (both pooled, nothing in use) match the high-water mark.
+  EXPECT_EQ(wrapper.stats().pool_capacity, 2u);
 }
 
 TEST(Wrapper, BoundedPoolIsNeverDropped) {
@@ -305,28 +310,80 @@ TEST_P(WrapperAnchor, BoundedPoolReusesWithoutGrowing) {
 }
 
 TEST_P(WrapperAnchor, UnboundedPoolAtTheDropCap) {
-  // Until-based: the free pool is capped at the active high-water mark (1).
+  // Until-based: the free pool is capped at the in-use high-water mark,
+  // which the firing at 20 raises to 2 (A dense + B held). The pool fills
+  // up to that cap and the fast path's reuses keep it there, no drops.
   TlmCheckerWrapper wrapper(tlm("always (!ds || (!rdy until rdy)) @Tb"), 10);
-  send(wrapper, 10, 1, 0);  // A allocated (capacity 1), dense
-  send(wrapper, 20, 0, 0);  // empty pool: B allocated (capacity 2), pooled
-  send(wrapper, 30, 0, 1);  // A holds, pool full: dropped (capacity 1);
-                            // vacuous: reuse 1 of B, pool stays at the cap
-  EXPECT_EQ(wrapper.stats().pool_dropped, 1u);
-  EXPECT_EQ(wrapper.stats().pool_capacity, 1u);
+  send(wrapper, 10, 1, 0);  // A allocated (capacity 1, in use 1), dense
+  send(wrapper, 20, 0, 0);  // empty pool: B allocated (capacity 2, in use 2),
+                            // trivial, pooled: [B]
+  send(wrapper, 30, 0, 1);  // A holds, pooled: [B, A] (1 < 2, no drop);
+                            // vacuous: reuse 1 of A, pooled again: [B, A]
+  EXPECT_EQ(wrapper.stats().pool_dropped, 0u);
+  EXPECT_EQ(wrapper.stats().pool_capacity, 2u);
   EXPECT_EQ(wrapper.stats().reuses, 1u);
-  send(wrapper, 40, 1, 0);  // reuse 2 of B, dense
-  send(wrapper, 50, 0, 0);  // empty pool: C allocated (capacity 2), pooled
-  send(wrapper, 60, 0, 1);  // B holds, dropped (capacity 1); vacuous: reuse 3
+  send(wrapper, 40, 1, 0);  // reuse 2 of A, dense; pool [B]
+  send(wrapper, 50, 0, 0);  // vacuous: reuse 3 of B (in use 2), pooled: [B]
+  send(wrapper, 60, 0, 1);  // A holds, pooled: [B, A]; vacuous: reuse 4 of A
   wrapper.finish();
   const WrapperStats& s = wrapper.stats();
   EXPECT_EQ(s.activations, 6u);
-  EXPECT_EQ(s.reuses, 3u);
-  EXPECT_EQ(s.pool_capacity, 1u);
-  EXPECT_EQ(s.pool_dropped, 2u);
+  EXPECT_EQ(s.reuses, 4u);
+  EXPECT_EQ(s.pool_capacity, 2u);
+  EXPECT_EQ(s.pool_dropped, 0u);
   EXPECT_EQ(s.table_peak, 0u);
   EXPECT_EQ(s.trivial, 4u);
   EXPECT_EQ(s.holds, 6u);
   EXPECT_EQ(s.vacuous_passes, 4u);
+}
+
+TEST_P(WrapperAnchor, UnboundedPoolKeepsItsBurstHighWaterMark) {
+  // Three concurrent sessions, then one at a time. An instance is allocated
+  // only when every other one is in use, so the capacity never exceeds the
+  // in-use high-water mark and a release always finds the pool below the
+  // cap: after the burst the three instances stay pooled, none is dropped.
+  TlmCheckerWrapper wrapper(tlm("always (!ds || (!rdy until rdy)) @Tb"), 10);
+  send(wrapper, 10, 1, 0);  // A allocated (capacity 1), dense
+  send(wrapper, 20, 1, 0);  // B allocated (capacity 2), dense
+  send(wrapper, 30, 1, 0);  // C allocated (capacity 3, in use 3), dense
+  send(wrapper, 40, 0, 1);  // A, B, C hold, pooled: [A, B, C];
+                            // vacuous: reuse 1 of C, pooled again
+  EXPECT_EQ(wrapper.stats().pool_capacity, 3u);
+  for (psl::TimeNs t = 50; t < 110; t += 20) {
+    send(wrapper, t, 1, 0);       // reuse of C, dense; pool [A, B]
+    send(wrapper, t + 10, 0, 1);  // C holds, pooled; vacuous: reuse of C
+  }
+  wrapper.finish();
+  const WrapperStats& s = wrapper.stats();
+  EXPECT_EQ(s.activations, 10u);
+  EXPECT_EQ(s.reuses, 7u);  // 1 at 40, then 2 per single-session round
+  EXPECT_EQ(s.pool_capacity, 3u);
+  EXPECT_EQ(s.pool_dropped, 0u);
+  EXPECT_EQ(s.holds, 10u);
+  EXPECT_EQ(s.trivial, 4u);
+}
+
+TEST_P(WrapperAnchor, AlternatingUntilFiringsNeverChurn) {
+  // Regression: a real session is still pending when the next (vacuous)
+  // firing acquires an instance, and resolves at the firing after that.
+  // Counting only scheduled + dense instances capped the pool at 1, so
+  // every other firing allocated an instance and every resolution dropped
+  // one. With the held instance counted the pool settles at 2.
+  TlmCheckerWrapper wrapper(
+      tlm("always (!ds || next[1](!rdy until rdy)) @Tb"), 10);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    const bool real = i % 2 == 0;
+    send(wrapper, 10 * (i + 1), real ? 1 : 0, real ? 1 : 0);
+  }
+  wrapper.finish();
+  const WrapperStats& s = wrapper.stats();
+  EXPECT_EQ(s.activations, 1000u);
+  EXPECT_EQ(s.pool_dropped, 0u);
+  EXPECT_EQ(s.pool_capacity, 2u);
+  EXPECT_EQ(s.reuses, 998u);  // only the first two firings allocate
+  EXPECT_EQ(s.real_passes, 500u);
+  EXPECT_EQ(s.vacuous_passes, 500u);
+  EXPECT_EQ(s.failures, 0u);
 }
 
 TEST_P(WrapperAnchor, EmptyPoolOnFirstActivationAllocates) {
