@@ -350,47 +350,55 @@ TEST(PruneEquivalence, PrunedRunReducesLiveCheckersButKeepsAllRows) {
 TEST(PruneEquivalence, AggressiveDerivedFailurePreservesRunVerdict) {
   // A contradiction injected via extra_properties fails when simulated and
   // is elided with a derived failure when pruned aggressively; the run
-  // verdict must be false either way.
-  models::RunConfig plain =
-      base_config(models::Design::kDes56, models::Level::kTlmCa, 1);
+  // verdict must be false either way, through either environment.
   auto bad = psl::parse_rtl_property_file(
       "xfail: always (ds && !ds) @clk_pos;");
   ASSERT_TRUE(bad.ok());
-  plain.extra_properties = bad.value();
-  models::RunConfig pruned = plain;
-  pruned.analysis.prune = PruneMode::kAggressive;
+  for (const auto level : {models::Level::kTlmCa, models::Level::kRtl}) {
+    models::RunConfig plain = base_config(models::Design::kDes56, level, 1);
+    plain.extra_properties = bad.value();
+    models::RunConfig pruned = plain;
+    pruned.analysis.prune = PruneMode::kAggressive;
 
-  const models::RunResult a = models::run_simulation(plain);
-  const models::RunResult b = models::run_simulation(pruned);
-  EXPECT_FALSE(a.properties_ok);
-  EXPECT_FALSE(b.properties_ok);
-  EXPECT_EQ(verdicts(a.report), verdicts(b.report));
-  const auto* row = find_row(b.report, "xfail");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->prune, "elide");
-  EXPECT_EQ(row->derived_from, "static");
-  EXPECT_FALSE(row->ok());
+    const models::RunResult a = models::run_simulation(plain);
+    const models::RunResult b = models::run_simulation(pruned);
+    EXPECT_FALSE(a.properties_ok) << models::to_string(level);
+    EXPECT_FALSE(b.properties_ok) << models::to_string(level);
+    EXPECT_EQ(verdicts(a.report), verdicts(b.report)) << models::to_string(level);
+    const auto* row = find_row(b.report, "xfail");
+    ASSERT_NE(row, nullptr) << models::to_string(level);
+    EXPECT_EQ(row->prune, "elide");
+    EXPECT_EQ(row->derived_from, "static");
+    EXPECT_FALSE(row->ok());
+  }
 }
 
 TEST(PruneEquivalence, CrossCheckAuditIsCleanOnBundledSuites) {
   // analysis=error keeps pruned checkers running and cross-checks every
-  // derived verdict; on the bundled suites no PRN003 may fire.
+  // derived verdict; on the bundled suites no PRN003 may fire, at TLM-AT
+  // (sharded) or at RTL.
   for (const auto design :
        {models::Design::kDes56, models::Design::kColorConv}) {
-    models::RunConfig config =
-        base_config(design, models::Level::kTlmAt, 2);
-    config.analysis = models::AnalysisMode::kError;
-    config.analysis.prune = PruneMode::kSafe;
-    const models::RunResult result = models::run_simulation(config);
-    EXPECT_TRUE(result.analysis_ok) << models::to_string(design);
-    for (const auto& d : result.analysis_diagnostics) {
-      EXPECT_NE(d.code, "PRN003") << d.message;
-    }
-    // Audit mode spawns everything: real counters on every row.
-    const auto* p7 = find_row(result.report, "p7");
-    if (design == models::Design::kDes56) {
-      ASSERT_NE(p7, nullptr);
-      EXPECT_GT(p7->activations, 0u);
+    for (const auto level : {models::Level::kTlmAt, models::Level::kRtl}) {
+      models::RunConfig config =
+          base_config(design, level, level == models::Level::kRtl ? 1 : 2);
+      config.analysis = models::AnalysisMode::kError;
+      config.analysis.prune = PruneMode::kSafe;
+      const models::RunResult result = models::run_simulation(config);
+      EXPECT_TRUE(result.analysis_ok)
+          << models::to_string(design) << "/" << models::to_string(level);
+      for (const auto& d : result.analysis_diagnostics) {
+        EXPECT_NE(d.code, "PRN003") << d.message;
+      }
+      // Audit mode spawns everything: real counters on every row.
+      for (const abv::PropertyReport& p : result.report.properties()) {
+        EXPECT_TRUE(p.prune.empty()) << p.name;
+      }
+      const auto* p7 = find_row(result.report, "p7");
+      if (design == models::Design::kDes56) {
+        ASSERT_NE(p7, nullptr);
+        EXPECT_GT(p7->activations, 0u);
+      }
     }
   }
 }
