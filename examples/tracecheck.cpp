@@ -77,9 +77,8 @@ abv::Report check_rtl(const std::vector<psl::RtlProperty>& properties,
   abv::SignalBag no_signals;
   abv::RtlAbvEnv env(idle, no_signals);
   for (const psl::RtlProperty& p : properties) env.add_property(p);
-  for (const tlm::TransactionRecord& r : log.records()) {
-    env.on_sample(r.end, r.address == 0, r.observables);
-  }
+  const std::vector<tlm::TransactionRecord>& records = log.records();
+  env.on_records(records.data(), records.data() + records.size());
   env.finish();
   binding_error = env.binding_error();
   return env.report();

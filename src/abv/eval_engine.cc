@@ -21,18 +21,23 @@ uint64_t mono_ns() {
           .count());
 }
 
-EvalEngine::Options clamped(EvalEngine::Options options) {
-  options.config.jobs = std::max<size_t>(1, options.config.jobs);
-  options.config.batch_size = std::max<size_t>(1, options.config.batch_size);
-  options.config.max_inflight_batches =
-      std::max<size_t>(1, options.config.max_inflight_batches);
+EvalEngine::Options with_clamped_config(EvalEngine::Options options) {
+  options.config = EvalEngine::clamped(options.config);
   return options;
 }
 
 }  // namespace
 
+EngineConfig EvalEngine::clamped(EngineConfig config) {
+  config.jobs = std::max<size_t>(1, config.jobs);
+  config.batch_size = std::max<size_t>(1, config.batch_size);
+  config.max_inflight_batches =
+      std::max<size_t>(1, config.max_inflight_batches);
+  return config;
+}
+
 EvalEngine::EvalEngine(Options options)
-    : options_(clamped(options)),
+    : options_(with_clamped_config(options)),
       arena_(options_.config.batch_size),
       batch_ns_(support::exponential_bounds(1 << 10, 18))  // 1 us .. ~268 ms
 {

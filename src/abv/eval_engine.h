@@ -101,6 +101,10 @@ class EvalEngine {
     support::tracelog::TraceWriter* record_writer = nullptr;
   };
 
+  // `options.config` with every knob below 1 raised to 1: the knob group
+  // the engine runs with. The only clamp of the engine knobs.
+  static EngineConfig clamped(EngineConfig config);
+
   explicit EvalEngine(Options options);
   ~EvalEngine();
 

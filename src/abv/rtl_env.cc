@@ -1,29 +1,9 @@
 #include "abv/rtl_env.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "abv/snapshot_context.h"
 #include "support/tracelog.h"
 
 namespace repro::abv {
-
-uint64_t SignalBag::value(std::string_view name) const {
-  auto it = getters_.find(name);
-  if (it == getters_.end()) {
-    // A property referenced a signal the testbench never registered. Under
-    // NDEBUG an assert would vanish and the call below would be UB; fail
-    // fast with the name instead, as ObservablesContext::value does.
-    std::fprintf(stderr, "fatal: signal '%.*s' not registered in SignalBag\n",
-                 static_cast<int>(name.size()), name.data());
-    std::abort();
-  }
-  return it->second();
-}
-
-bool SignalBag::has(std::string_view name) const {
-  return getters_.find(name) != getters_.end();
-}
 
 std::shared_ptr<const tlm::Snapshot::Keys> SignalBag::keys() const {
   if (keys_cache_ == nullptr) {
@@ -43,26 +23,7 @@ void SignalBag::sample_into(tlm::Snapshot& snapshot) const {
 }
 
 void RtlAbvEnv::add_property(const psl::RtlProperty& property) {
-  psl::ExprPtr formula = property.formula;
-  psl::ExprPtr fold;
-  if (prune_plan_ != nullptr) {
-    if (const analysis::PruneDecision* d = prune_plan_->find(property.name)) {
-      if (d->action != analysis::PruneAction::kLive) {
-        if (!prune_audit_) {
-          pruned_.push_back(*d);
-          return;
-        }
-        audited_.push_back(*d);
-      } else {
-        if (d->specialized != nullptr) formula = d->specialized;
-        fold = d->program_fold;
-      }
-    }
-  }
-  checkers_.push_back(std::make_unique<checker::PropertyChecker>(
-      property.name, formula, property.context.guard, checker_options_));
-  // Symbolic dead-node fold (see tlm_env.cc): program-level swap only.
-  if (fold != nullptr) checkers_.back()->set_program_formula(fold);
+  if (add_checker(property) == nullptr) return;
   kinds_.push_back(property.context.kind);
   switch (property.context.kind) {
     case psl::ClockContext::Kind::kTrue:
@@ -145,75 +106,12 @@ void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
   }
 }
 
-void RtlAbvEnv::finish() {
-  for (auto& checker : checkers_) checker->finish();
-}
-
-bool RtlAbvEnv::live_ok(const std::string& name, bool& found) const {
-  for (const auto& checker : checkers_) {
-    if (checker->name() == name) {
-      found = true;
-      return checker->ok();
-    }
+void RtlAbvEnv::on_records(const tlm::TransactionRecord* begin,
+                           const tlm::TransactionRecord* end) {
+  for (const tlm::TransactionRecord* r = begin; r != end; ++r) {
+    if (record_writer_ != nullptr) record_writer_->append(*r);
+    on_sample(r->end, r->address == 0, r->observables);
   }
-  found = false;
-  return true;
-}
-
-Report RtlAbvEnv::report() const {
-  Report report;
-  for (const auto& checker : checkers_) report.add(*checker);
-  for (const auto& d : pruned_) {
-    bool found = false;
-    bool subsumer_ok = true;
-    if (d.action == analysis::PruneAction::kSubsumed) {
-      subsumer_ok = live_ok(d.subsumed_by, found);
-    }
-    report.add_derived(derived_report_row(d, found, subsumer_ok));
-  }
-  return report;
-}
-
-std::vector<analysis::Diagnostic> RtlAbvEnv::prune_cross_check() const {
-  std::vector<analysis::Diagnostic> out;
-  for (const auto& d : audited_) {
-    uint64_t activations = 0;
-    uint64_t failures = 0;
-    bool have = false;
-    for (const auto& checker : checkers_) {
-      if (checker->name() == d.name) {
-        activations = checker->stats().activations;
-        failures = checker->stats().failures;
-        have = true;
-      }
-    }
-    if (!have) continue;
-    bool found = false;
-    const bool subsumer_ok = d.action == analysis::PruneAction::kSubsumed
-                                 ? live_ok(d.subsumed_by, found)
-                                 : true;
-    cross_check_decision(d, activations, failures, subsumer_ok, out);
-  }
-  return out;
-}
-
-std::string RtlAbvEnv::binding_error() const {
-  for (const auto& checker : checkers_) {
-    if (!checker->binding_error().empty()) return checker->binding_error();
-  }
-  return {};
-}
-
-bool RtlAbvEnv::all_ok() const {
-  for (const auto& checker : checkers_) {
-    if (!checker->ok()) return false;
-  }
-  for (const auto& d : pruned_) {
-    if (d.action == analysis::PruneAction::kElide && !d.static_verdict) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace repro::abv

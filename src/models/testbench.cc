@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -61,6 +60,10 @@ class Bench {
   };
   virtual Tally tally() const = 0;
 
+  // Transactions the design completed, silent ones included; clock edges
+  // are not transactions, so 0 at RTL.
+  virtual uint64_t transactions() const { return 0; }
+
  protected:
   Bench() = default;
   sim::Kernel kernel_;
@@ -87,6 +90,7 @@ class RtlBench : public Bench {
 class TlmBench : public Bench {
  public:
   tlm::TransactionRecorder& recorder() { return recorder_; }
+  uint64_t transactions() const override { return recorder_.transactions(); }
 
  protected:
   TlmBench() = default;
@@ -566,38 +570,20 @@ std::string open_outputs(const RunConfig& config, const RunPrep& prep,
   return "";
 }
 
-// Feeds one span of the ingested stream to the level's environment. At RTL
-// each record is one settled clock-edge sample (address 0 = rising, 1 =
-// falling) and is re-recorded here: RtlAbvEnv writes only the samples it
-// takes from a live clock itself. TlmAbvEnv's engine writes its own spans.
-void feed(abv::RtlAbvEnv& env, tlm::RecordSpan span,
-          support::tracelog::TraceWriter* writer) {
-  for (const tlm::TransactionRecord* r = span.begin; r != span.end; ++r) {
-    if (writer != nullptr) writer->append(*r);
-    env.on_sample(r->end, r->address == 0, r->observables);
-  }
-}
-
-void feed(abv::TlmAbvEnv& env, tlm::RecordSpan span,
-          support::tracelog::TraceWriter* /*writer*/) {
-  env.on_records(span.begin, span.end);
-}
-
 // Runs a cell to completion and fills in the result. Records come from
 // `source` when set (a replayed log or the live TLM adapter); otherwise the
 // bench's kernel just runs: Table I's "w/out c." baseline at TLM, clock-
 // sampled checking at RTL. `bench` is null for a replay. wall_seconds covers
 // the ingest (or kernel run) and env.finish(), not the setup.
-template <typename Env, typename B>
-void drive(Env& env, B* bench, tlm::RecordSource* source,
-           const PrunePrep& prune, RunOutputs& out, RunResult& result) {
+void drive(Level level, abv::AbvEnv& env, Bench* bench,
+           tlm::RecordSource* source, RunOutputs& out, RunResult& result) {
   const auto t0 = Clock::now();
   uint64_t records = 0;
   sim::Time last_end = 0;
   if (source != nullptr) {
     for (tlm::RecordSpan span = source->next(); !span.empty();
          span = source->next()) {
-      feed(env, span, out.writer.get());
+      env.on_records(span.begin, span.end);
       records += span.size();
       last_end = span.end[-1].end;
     }
@@ -607,12 +593,12 @@ void drive(Env& env, B* bench, tlm::RecordSource* source,
   env.finish();
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 
-  if constexpr (std::is_same_v<Env, abv::TlmAbvEnv>) {
-    // RTL has neither transactions nor engine metrics. A live TLM run counts
-    // every transport, silent ones included; a replay counts its records.
-    result.transactions = bench ? bench->recorder().transactions() : records;
-    result.metrics = env.metrics_snapshot();
+  // RTL has neither transactions nor engine metrics. A live TLM run counts
+  // every transport, silent ones included; a replay counts its records.
+  if (level != Level::kRtl) {
+    result.transactions = bench ? bench->transactions() : records;
   }
+  result.metrics = env.metrics_snapshot();
   if (bench != nullptr) {
     result.sim_end_ns = bench->kernel().now();
     result.kernel_events = bench->kernel().events_executed();
@@ -628,11 +614,10 @@ void drive(Env& env, B* bench, tlm::RecordSource* source,
     result.sim_end_ns = last_end;
     result.functional_ok = true;
   }
-  if (prune.active && prune.audit) {
-    std::vector<analysis::Diagnostic> errors = env.prune_cross_check();
-    result.analysis_ok = result.analysis_ok && errors.empty();
-    append(result.analysis_diagnostics, std::move(errors));
-  }
+  // Empty unless the prune plan was applied in audit mode.
+  std::vector<analysis::Diagnostic> errors = env.prune_cross_check();
+  result.analysis_ok = result.analysis_ok && errors.empty();
+  append(result.analysis_diagnostics, std::move(errors));
   result.report = env.report();
   result.properties_ok = env.all_ok();
   // A slot-binding error invalidates the run like any other ingest failure.
@@ -648,9 +633,10 @@ void drive(Env& env, B* bench, tlm::RecordSource* source,
 }
 
 // Builds the level's environment over a live bench, or over `replay`'s
-// recorded stream, registers the checked properties and drives the run. RTL
-// keeps its own environment, which samples the live clock itself; every
-// other level checks the transaction stream through TlmAbvEnv's engine.
+// recorded stream, registers the checked properties and drives the run. At
+// RTL the environment samples the live clock itself and bypasses the
+// evaluation engine; every other level checks the transaction stream
+// through TlmAbvEnv's engine.
 void run_cell(const RunConfig& config, const RunPrep& prep, RunOutputs& out,
               tlm::RecordSource* replay, RunResult& result) {
   result.properties_deleted = prep.checked.deleted;
@@ -665,12 +651,10 @@ void run_cell(const RunConfig& config, const RunPrep& prep, RunOutputs& out,
                        bench ? bench->signals() : no_signals);
     env.set_checker_options(checker_options(config));
     env.set_prune_plan(prep.prune.active_plan(), prep.prune.audit);
+    env.set_record_writer(out.writer.get());
     for (const psl::RtlProperty& p : prep.checked.rtl) env.add_property(p);
-    if (bench != nullptr && consume) {
-      env.set_record_writer(out.writer.get());
-      env.attach(bench->clock());
-    }
-    drive(env, bench.get(), replay, prep.prune, out, result);
+    if (bench != nullptr && consume) env.attach(bench->clock());
+    drive(config.level, env, bench.get(), replay, out, result);
     return;
   }
 
@@ -696,7 +680,7 @@ void run_cell(const RunConfig& config, const RunPrep& prep, RunOutputs& out,
   }
   tlm::RecordSource* source = live ? &*live : replay;
   if (source != nullptr) env.bind();
-  drive(env, bench.get(), source, prep.prune, out, result);
+  drive(config.level, env, bench.get(), source, out, result);
 }
 
 // Runs the static analysis battery over the configured properties. Returns

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "abv/eval_engine.h"
@@ -201,15 +203,33 @@ TEST(JobsEquivalence, ColorConvTlmCa) {
   expect_jobs_equivalent(models::Design::kColorConv, models::Level::kTlmCa, 300);
 }
 
-// ---- TlmAbvEnv jobs knob ----------------------------------------------------------
+// ---- Engine knob clamp -----------------------------------------------------------
 
-TEST(EvalEngine, TlmAbvEnvThreadsJobsThrough) {
-  abv::TlmAbvEnv env(10, 4);
-  EXPECT_EQ(env.jobs(), 4u);
-  env.set_jobs(0);  // clamped
-  EXPECT_EQ(env.jobs(), 1u);
-  env.set_jobs(2);
-  EXPECT_EQ(env.jobs(), 2u);
+// The environment hands its EngineConfig to the engine verbatim; the engine
+// clamps knobs below 1, so jobs 0 is the serial walk and reports exactly
+// what jobs 1 does.
+TEST(EvalEngine, ZeroJobsRunsSeriallyLikeOneJob) {
+  abv::EvalEngine::Options options;
+  options.config = abv::EngineConfig{.jobs = 0, .batch_size = 0,
+                                     .max_inflight_batches = 0};
+  EXPECT_EQ(abv::EvalEngine(options).jobs(), 1u);
+
+  const std::vector<tlm::TransactionRecord> records = mixed_stream(200);
+  std::string json[2];
+  for (size_t jobs : {0, 1}) {
+    abv::TlmAbvEnv env(10);
+    env.set_engine_config(abv::EngineConfig{.jobs = jobs});
+    for (const psl::TlmProperty& p : mixed_suite()) env.add_property(p);
+    env.bind();
+    env.on_records(records.data(), records.data() + records.size());
+    env.finish();
+    std::ostringstream os;
+    env.report().write_json(os);
+    json[jobs] = os.str();
+    EXPECT_EQ(env.metrics_snapshot().counters.at("engine.records"), 200u);
+  }
+  EXPECT_FALSE(json[0].empty());
+  EXPECT_EQ(json[0], json[1]);
 }
 
 }  // namespace

@@ -697,7 +697,8 @@ const char kMissingRdy[] =
 TEST(ReplayValidation, MissingObservableFailsBindingLive) {
   const std::vector<tlm::TransactionRecord> records = records_without_rdy(20);
   for (size_t jobs : {1, 2}) {
-    abv::TlmAbvEnv env(10, jobs);
+    abv::TlmAbvEnv env(10);
+    env.set_engine_config(abv::EngineConfig{.jobs = jobs});
     env.add_property(
         psl::parse_tlm_property("q1: always (!ds || next_e[1,20](out)) @Tb")
             .value());
