@@ -841,24 +841,27 @@ bool parse_level(const std::string& name, Level& out) {
 
 RunResult run_simulation(const RunConfig& config) {
   if (config.ingest.replay_path.empty()) return run(config, nullptr);
-  // Offline replay: decode + validate the log and check its identity against
-  // this configuration before any checker sees it.
-  RunResult result;
-  support::tracelog::TraceReader reader;
-  if (std::optional<support::tracelog::TraceError> err =
-          reader.open(config.ingest.replay_path)) {
-    result.ingest_error = err->to_string();
-    return result;
+  // Offline replay, streamed one frame at a time: the header is read and
+  // its identity checked against this configuration before any checker is
+  // built; each frame is checked as it is decoded.
+  support::tracelog::TraceStreamSource source;
+  std::optional<support::tracelog::TraceError> err =
+      source.open(config.ingest.replay_path);
+  if (!err) {
+    tlm::RecordStreamMeta expected = stream_meta(config);
+    expected.observables = level_observables(config.design, config.level);
+    err = support::tracelog::validate_meta(source.meta(), expected);
   }
-  tlm::RecordStreamMeta expected = stream_meta(config);
-  expected.observables = level_observables(config.design, config.level);
-  if (std::optional<support::tracelog::TraceError> err =
-          support::tracelog::validate_meta(reader.meta(), expected)) {
-    result.ingest_error = err->to_string();
-    return result;
+  if (!err) {
+    RunResult result = run(config, &source);
+    // A frame rejected mid-stream voids what the checkers saw before it:
+    // the run reports exactly what an up-front rejection reports.
+    err = source.error();
+    if (!err) return result;
   }
-  support::tracelog::TraceReplaySource source(std::move(reader));
-  return run(config, &source);
+  RunResult rejected;
+  rejected.ingest_error = err->to_string();
+  return rejected;
 }
 
 RunResult run_simulation(const RunConfig& config, tlm::RecordSource& source) {

@@ -2,7 +2,8 @@
 // §20). A counting global operator new measures heap calls per transaction
 // as the difference between two workloads, so the one-off cost of building the
 // model, the suite, the checkers and the report cancels out and what remains
-// is the per-transaction cost of simulating and checking.
+// is the per-transaction cost of simulating and checking. It also pins the
+// streaming trace-log decoder's steady state (DESIGN.md §16) at zero.
 //
 // Built only without sanitizers: ASan and TSan replace operator new
 // themselves.
@@ -13,9 +14,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 
 #include "models/testbench.h"
+#include "support/tracelog.h"
+#include "tlm/record_source.h"
+#include "tlm/transaction.h"
 
 namespace {
 
@@ -111,6 +117,50 @@ TEST(AllocBudget, Des56TlmAtAllCheckersSharded) {
 
 TEST(AllocBudget, ColorConvTlmAtAllCheckersSerial) {
   EXPECT_LE(steady_state_news_per_transaction(models::Design::kColorConv, 1), 4.0);
+}
+
+// The first frame sizes the decoder's byte buffer and every reused record;
+// frames 2..N of a 10k-record log (default 256-record frames) then decode
+// without one heap call.
+TEST(AllocBudget, StreamedReplayDecodesLaterFramesWithoutHeapCalls) {
+  const std::string path = testing::TempDir() + "alloc_budget_stream.rtabv";
+  constexpr size_t kRecords = 10000;
+  {
+    tlm::RecordStreamMeta meta;
+    meta.design = "DES56";
+    meta.level = "TLM-AT";
+    meta.clock_period_ns = 10;
+    support::tracelog::TraceWriter writer(path, meta);
+    auto keys = std::make_shared<const tlm::Snapshot::Keys>(
+        tlm::Snapshot::Keys{"ds", "rdy", "out"});
+    for (size_t i = 0; i < kRecords; ++i) {
+      tlm::TransactionRecord r;
+      r.start = 10 * i;
+      r.end = 10 * i + 7;
+      r.data = {i, ~i};
+      r.observables = tlm::Snapshot(keys);
+      r.observables.set_at(2, i);
+      writer.append(r);
+    }
+    ASSERT_TRUE(writer.finish()) << writer.error();
+  }
+
+  support::tracelog::TraceStreamSource source;
+  ASSERT_FALSE(source.open(path).has_value());
+  size_t records = source.next().size();
+  ASSERT_EQ(records, 256u);
+  size_t frames = 1;
+  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (tlm::RecordSpan span = source.next(); !span.empty();
+       span = source.next()) {
+    records += span.size();
+    ++frames;
+  }
+  const uint64_t news = g_news.load(std::memory_order_relaxed) - before;
+  EXPECT_FALSE(source.error().has_value());
+  EXPECT_EQ(records, kRecords);
+  EXPECT_EQ(frames, (kRecords + 255) / 256);
+  EXPECT_EQ(news, 0u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #   BUILD_DIR    build tree with compile_commands.json (default: build)
 #   PATH_FILTER  only lint files whose path contains one of these substrings
 #                (default: src/analysis src/rewrite src/checker src/support
-#                src/models src/abv src/tlm)
+#                src/models src/abv src/tlm tools)
 #
 # Exits 0 with a notice when clang-tidy is not installed, so CI images
 # without the tool skip the lint instead of failing.
@@ -15,7 +15,7 @@ set -eu
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 [ $# -gt 0 ] && shift
-filters=${*:-"src/analysis src/rewrite src/checker src/support src/models src/abv src/tlm"}
+filters=${*:-"src/analysis src/rewrite src/checker src/support src/models src/abv src/tlm tools"}
 
 if ! command -v clang-tidy >/dev/null 2>&1; then
   echo "run_clang_tidy.sh: clang-tidy not found in PATH; skipping lint" >&2
