@@ -3,11 +3,12 @@
 // A RecordSource produces the completed-transaction stream the evaluation
 // engine checks, one contiguous span at a time — mirroring
 // EvalEngine::on_records — without saying anything about who produced the
-// records. The two shipped implementations are the live simulation adapter
+// records. The shipped implementations are the live simulation adapter
 // below (LiveRecordSource, which steps the kernel and drains the recorder)
-// and support::tracelog::TraceReplaySource (offline replay of a recorded
-// log). Verdicts depend only on the record stream, so any source that
-// produces the same stream produces byte-identical reports.
+// and the offline replays of a recorded log in support/tracelog.h
+// (TraceStreamSource, one frame at a time, and TraceReplaySource, over a
+// log already in memory). Verdicts depend only on the record stream, so any
+// source that produces the same stream produces byte-identical reports.
 #ifndef REPRO_TLM_RECORD_SOURCE_H_
 #define REPRO_TLM_RECORD_SOURCE_H_
 
