@@ -10,7 +10,8 @@
 // then the same log is replayed through the same checkers. Replay skips the
 // simulation kernel, so it must not be slower than live ingest — the run
 // exits non-zero if replay throughput drops below 0.9x the live rate, which
-// makes this binary usable as a CI regression gate.
+// makes this binary usable as a CI regression gate. Replay streams the log
+// frame by frame, so its time includes decoding and checking the log.
 //
 // With REPRO_BENCH_JSON set, every row is also written to
 // BENCH_tracelog.json (schema_version 1).
