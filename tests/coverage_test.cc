@@ -344,6 +344,129 @@ TEST(CoverageSampler, FinalCoverageIdenticalAcrossJobs) {
   EXPECT_EQ(serial, final_coverage(4));
 }
 
+// Pseudo-random records over {ds, rdy, data}.
+std::vector<tlm::TransactionRecord> random_stream(size_t n) {
+  auto keys = std::make_shared<const tlm::Snapshot::Keys>(
+      tlm::Snapshot::Keys{"ds", "rdy", "data"});
+  std::vector<tlm::TransactionRecord> records;
+  uint64_t state = 99;
+  for (size_t i = 0; i < n; ++i) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    const uint64_t bits = state >> 33;
+    tlm::TransactionRecord r;
+    r.end = 10 * (i + 1);
+    r.observables = tlm::Snapshot(keys);
+    r.observables.set("ds", bits & 1);
+    r.observables.set("rdy", (bits >> 1) & 1);
+    r.observables.set("data", (bits >> 2) & 7);
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+// Wrappers and plain checkers sharing one serial engine.
+struct SamplerSuite {
+  std::vector<std::unique_ptr<TlmCheckerWrapper>> wrappers;
+  std::vector<std::unique_ptr<PropertyChecker>> checkers;
+
+  SamplerSuite() {
+    for (const char* text : {"w1: always (!ds || next_e[1,20](rdy)) @Tb",
+                             "w2: always (!ds || (!rdy until rdy)) @Tb",
+                             "w3: always (!rdy || data < 6) @Tb"}) {
+      wrappers.push_back(std::make_unique<TlmCheckerWrapper>(tlm_prop(text), 10));
+    }
+    checkers.push_back(std::make_unique<PropertyChecker>(
+        "c1", parse("always (!ds || next[2](rdy))"), nullptr));
+    checkers.push_back(std::make_unique<PropertyChecker>(
+        "c2", parse("always (rdy -> next(data != 3))"), parse("ds || rdy")));
+  }
+
+  void add_to(abv::EvalEngine& engine, support::CoverageTable* coverage) {
+    for (auto& w : wrappers) {
+      if (coverage != nullptr) w->set_coverage(&coverage->row(w->name()));
+      engine.add(w.get());
+    }
+    for (auto& c : checkers) {
+      if (coverage != nullptr) c->set_coverage(&coverage->row(c->name()));
+      engine.add(c.get());
+    }
+  }
+
+  // The coverage array of the suite's current stats, serialized the way a
+  // snapshot line carries it.
+  std::string coverage_json() const {
+    support::CoverageTable table;
+    const auto fill = [&](const std::string& name, uint64_t activations,
+                          uint64_t holds, uint64_t failures,
+                          uint64_t uncompleted, uint64_t trivial, uint64_t real,
+                          uint64_t vacuous, uint64_t missed, uint64_t visits) {
+      support::CoverageTable::Row& row = table.row(name);
+      row.activations = activations;
+      row.holds = holds;
+      row.failures = failures;
+      row.uncompleted = uncompleted;
+      row.trivial = trivial;
+      row.real_passes = real;
+      row.vacuous_passes = vacuous;
+      row.missed_deadlines = missed;
+      row.node_visits = visits;
+    };
+    for (const auto& w : wrappers) {
+      const WrapperStats& s = w->stats();
+      fill(w->name(), s.activations, s.holds, s.failures, s.uncompleted,
+           s.trivial, s.real_passes, s.vacuous_passes, s.missed_deadlines,
+           s.node_visits);
+    }
+    for (const auto& c : checkers) {
+      const CheckerStats& s = c->stats();
+      fill(c->name(), s.activations, s.holds, s.failures, s.uncompleted,
+           s.trivial, s.real_passes, s.vacuous_passes, 0, s.node_visits);
+    }
+    std::ostringstream os;
+    table.write_json(os);
+    return os.str();
+  }
+};
+
+// At jobs 1 a mid-run line is exact: the coverage array of line i equals the
+// coverage of a run over the first i*k records, read at its end.
+TEST(CoverageSampler, SerialMidRunLinesEqualTruncatedRuns) {
+  const size_t interval = 7;
+  const std::vector<tlm::TransactionRecord> records = random_stream(90);
+  std::vector<std::string> lines;
+  {
+    SamplerSuite suite;
+    support::CoverageTable coverage;
+    std::ostringstream os;
+    abv::EvalEngine::Options options;
+    options.metrics_out = &os;
+    options.metrics_interval = interval;
+    options.coverage = &coverage;
+    abv::EvalEngine engine(options);
+    suite.add_to(engine, &coverage);
+    for (const tlm::TransactionRecord& r : records) engine.on_record(r);
+    engine.finish();
+    std::istringstream in(os.str());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  const size_t mid_run = records.size() / interval;
+  ASSERT_EQ(lines.size(), mid_run + 1);
+  for (size_t i = 1; i <= mid_run; ++i) {
+    SamplerSuite prefix;
+    abv::EvalEngine engine(abv::EvalEngine::Options{});
+    prefix.add_to(engine, nullptr);
+    engine.on_records(records.data(), records.data() + i * interval);
+    const std::string& line = lines[i - 1];
+    const size_t at = line.find("\"coverage\":");
+    ASSERT_NE(at, std::string::npos);
+    // The line ends with the coverage array and the closing brace.
+    EXPECT_EQ(line.substr(at + 11, line.size() - at - 12),
+              prefix.coverage_json())
+        << "line " << i - 1;
+    engine.finish();
+  }
+}
+
 // ---- Report schema v2 -----------------------------------------------------------
 
 TEST(CoverageReport, JsonCarriesCoverageSectionAndPrintTheSplitColumns) {
