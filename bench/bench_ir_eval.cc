@@ -193,8 +193,9 @@ void run_battery_pair(std::vector<std::unique_ptr<checker::Instance>>& battery,
 // be monotonic within a checker's lifetime, so the checker cannot be
 // re-fed the same trace) each driven once through the stream and finished.
 // With `row` set, the checker mirrors its stats into the live coverage row
-// after every event — the full telemetry path exercised by the snapshot
-// sampler. `stats_out`, when non-null, receives the last pass's stats.
+// at its sync points (set_coverage and finish) — the telemetry path the
+// snapshot sampler reads. `stats_out`, when non-null, receives the last
+// pass's stats.
 double time_telemetry_pass(const psl::ExprPtr& formula,
                            const checker::Trace& trace, size_t passes,
                            support::CoverageTable::Row* row,
@@ -464,7 +465,7 @@ int main(int argc, char** argv) {
               vector_geomean, vector_measured);
 
   // Telemetry overhead: the full PropertyChecker path with a live coverage
-  // row attached (relaxed mirror stores after every event, latency
+  // row attached (relaxed mirror stores at sync points, latency
   // histogram, vacuity split) vs the same checker with no row. Interleaved
   // best-of-reps per side; the acceptance gate below requires the geomean
   // throughput ratio with/without to stay >= 0.95 (<= ~5% overhead).

@@ -69,10 +69,12 @@ void EvalEngine::add(checker::TlmCheckerWrapper* wrapper) {
   // Serial mode evaluates on the dispatch lane; ensure_sharded() reassigns
   // the wrapper to its shard's lane.
   wrapper->set_trace(options_.trace, 0);
+  if (options_.config.jobs == 1) wrapper->attach(serial_pass_);
   wrappers_.push_back(wrapper);
 }
 
 void EvalEngine::add(checker::PropertyChecker* checker) {
+  if (options_.config.jobs == 1) checker->attach(serial_pass_);
   checkers_.push_back(checker);
 }
 
@@ -90,11 +92,15 @@ void EvalEngine::ensure_sharded() {
   // Round-robin in registration order balances heterogeneous property costs
   // across shards and is deterministic.
   for (size_t i = 0; i < wrappers_.size(); ++i) {
-    shards_[i % count].wrappers.push_back(wrappers_[i]);
+    Shard& shard = shards_[i % count];
+    shard.wrappers.push_back(wrappers_[i]);
     wrappers_[i]->set_trace(options_.trace, static_cast<uint32_t>(i % count) + 1);
+    wrappers_[i]->attach(shard.pass);
   }
   for (size_t i = 0; i < checkers_.size(); ++i) {
-    shards_[(wrappers_.size() + i) % count].checkers.push_back(checkers_[i]);
+    Shard& shard = shards_[(wrappers_.size() + i) % count];
+    shard.checkers.push_back(checkers_[i]);
+    checkers_[i]->attach(shard.pass);
   }
   for (size_t s = 0; s < count; ++s) {
     if (options_.trace != nullptr) {
@@ -127,13 +133,17 @@ void EvalEngine::process_batch(Shard& shard, size_t s, Batch* batch) {
   const uint64_t t0 = instrumented ? tick() : 0;
   for (const tlm::TransactionRecord& record : batch->span) {
     const ObservablesContext ctx(record.observables);
+    shard.pass.run(record.end, ctx);
     for (checker::TlmCheckerWrapper* w : shard.wrappers) {
-      w->on_transaction(record.end, ctx);
+      w->evaluate(record.end, ctx);
     }
     for (checker::PropertyChecker* c : shard.checkers) {
-      c->on_event(record.end, ctx);
+      c->evaluate(record.end, ctx);
     }
   }
+  // Sync point: this shard is the only writer of its properties' rows.
+  for (checker::TlmCheckerWrapper* w : shard.wrappers) w->publish();
+  for (checker::PropertyChecker* c : shard.checkers) c->publish();
   // Everything needed after release is copied out first: once this shard
   // releases (and some shard is the last), the ticket and the arena segment
   // may be recycled for a later batch.
@@ -243,10 +253,9 @@ void EvalEngine::on_record(const tlm::TransactionRecord& record) {
     // Exact historical serial path: evaluate synchronously, no buffering.
     if (options_.record_writer != nullptr) options_.record_writer->append(record);
     const ObservablesContext ctx(record.observables);
-    for (checker::TlmCheckerWrapper* w : wrappers_) {
-      w->on_transaction(record.end, ctx);
-    }
-    for (checker::PropertyChecker* c : checkers_) c->on_event(record.end, ctx);
+    serial_pass_.run(record.end, ctx);
+    for (checker::TlmCheckerWrapper* w : wrappers_) w->evaluate(record.end, ctx);
+    for (checker::PropertyChecker* c : checkers_) c->evaluate(record.end, ctx);
     count_record(record.end);
     return;
   }
@@ -363,6 +372,12 @@ void EvalEngine::count_record(uint64_t sim_time_ns) {
     return;
   }
   if (records_seen_ % options_.metrics_interval == 0) {
+    // Serial sync point: the line then carries exact coverage. Sharded
+    // properties publish at the end of their shard's batches instead.
+    if (options_.config.jobs == 1) {
+      for (checker::TlmCheckerWrapper* w : wrappers_) w->publish();
+      for (checker::PropertyChecker* c : checkers_) c->publish();
+    }
     write_sample(sim_time_ns, /*final=*/false);
   }
 }

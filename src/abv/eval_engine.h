@@ -24,11 +24,20 @@
 //     undrained batches always form a contiguous suffix of the sealed
 //     sequence; recycled arena segments and batch tickets can never be
 //     observed by a stale reader.
-//   - Failure witnesses copy the values they retain into each wrapper's
-//     own flat ring and hold the record dictionary (see
-//     TlmCheckerWrapper::capture_witness), so they stay valid after the
-//     arena recycles a segment; names are materialized only when a failure
-//     is logged.
+//   - The per-record work that does not depend on the property runs once
+//     per record in a checker::RecordPass: the serial path owns one, each
+//     shard owns its own (thread-owned state), and every wrapper and
+//     checker is attached to the pass of the path or shard that evaluates
+//     it. The pass evaluates the union of its properties' atoms, guards and
+//     antecedents, and captures the record into one failure-witness ring;
+//     each property then reads only its own bits.
+//   - Failure witnesses copy the values they retain into the pass's flat
+//     ring and hold the record dictionary (see checker::WitnessRing), so
+//     they stay valid after the arena recycles a segment; names are
+//     materialized only when a failure is logged.
+//   - Deferred bookkeeping (coverage rows, anchor-resolved latency samples)
+//     is published at sync points: before each mid-run snapshot line on the
+//     serial path, at the end of each shard batch, and at finish().
 //   - `jobs = 1` bypasses the arena and threads entirely and dispatches
 //     records synchronously, which is bit-identical to the historical
 //     serial path.
@@ -81,10 +90,13 @@ class EvalEngine {
     // line every `metrics_interval` ingested records, plus one exact line
     // with "final":true at finish(). Each line carries the merged metrics
     // snapshot and the coverage table (schema in tools/validate_metrics.py).
-    // Mid-run lines in sharded mode are approximate — shards may not have
-    // drained up to the sampled record yet (relaxed reads of the live
-    // coverage rows); the final line is taken after every shard joined and
-    // is exact. Must outlive the engine. nullptr disables.
+    // Mid-run lines on the serial path are exact: every property publishes
+    // its coverage row right before the line is written. Mid-run lines in
+    // sharded mode are approximate — rows are published at the end of each
+    // shard batch, and shards may not have drained up to the sampled record
+    // yet (relaxed reads of the live coverage rows); the final line is taken
+    // after every shard joined and is exact. Must outlive the engine.
+    // nullptr disables.
     std::ostream* metrics_out = nullptr;
     // Records between two mid-run snapshot lines; 0 emits only the final
     // line (when metrics_out is set).
@@ -108,7 +120,9 @@ class EvalEngine {
   explicit EvalEngine(Options options);
   ~EvalEngine();
 
-  // Registration, in report order. Call before the first on_record.
+  // Registration, in report order. Call before the first on_record. The
+  // engine attaches each wrapper and checker to the record pass of the path
+  // or shard that evaluates it.
   void add(checker::TlmCheckerWrapper* wrapper);
   void add(checker::PropertyChecker* checker);
 
@@ -151,6 +165,7 @@ class EvalEngine {
   struct Shard {
     std::vector<checker::TlmCheckerWrapper*> wrappers;
     std::vector<checker::PropertyChecker*> checkers;
+    checker::RecordPass pass;  // owned by the shard's worker thread
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Batch*> queue;  // FIFO; guarded by mu
@@ -174,6 +189,7 @@ class EvalEngine {
   Options options_;
   std::vector<checker::TlmCheckerWrapper*> wrappers_;
   std::vector<checker::PropertyChecker*> checkers_;
+  checker::RecordPass serial_pass_;  // jobs = 1
 
   RecordArena arena_;
   std::deque<Shard> shards_;

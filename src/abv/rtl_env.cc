@@ -23,7 +23,9 @@ void SignalBag::sample_into(tlm::Snapshot& snapshot) const {
 }
 
 void RtlAbvEnv::add_property(const psl::RtlProperty& property) {
-  if (add_checker(property) == nullptr) return;
+  checker::PropertyChecker* checker = add_checker(property);
+  if (checker == nullptr) return;
+  checker->attach(pass_);
   kinds_.push_back(property.context.kind);
   switch (property.context.kind) {
     case psl::ClockContext::Kind::kTrue:
@@ -95,6 +97,7 @@ void RtlAbvEnv::sample(bool rising) {
 void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
                           const tlm::Snapshot& values) {
   const ObservablesContext ctx(values);
+  bool ran = false;
   for (size_t i = 0; i < checkers_.size(); ++i) {
     const psl::ClockContext::Kind kind = kinds_[i];
     const bool wants =
@@ -102,7 +105,12 @@ void RtlAbvEnv::on_sample(psl::TimeNs now, bool rising,
         (rising && (kind == psl::ClockContext::Kind::kClkPos ||
                     kind == psl::ClockContext::Kind::kTrue)) ||
         (!rising && kind == psl::ClockContext::Kind::kClkNeg);
-    if (wants) checkers_[i]->on_event(now, ctx);
+    if (!wants) continue;
+    if (!ran) {
+      pass_.run(now, ctx);
+      ran = true;
+    }
+    checkers_[i]->evaluate(now, ctx);
   }
 }
 

@@ -11,7 +11,10 @@
 // per signal, not one per signal per checker), and every checker selected
 // at that edge evaluates against the same read-only ObservablesContext.
 // With a single synchronous consumer the snapshot buffer is recycled in
-// place — the degenerate one-reader case of support::BatchArena.
+// place — the degenerate one-reader case of support::BatchArena. The
+// per-edge atom and guard evaluation is likewise done once: every checker
+// is attached to the environment's checker::RecordPass, which runs once per
+// edge that selects at least one checker.
 #ifndef REPRO_ABV_RTL_ENV_H_
 #define REPRO_ABV_RTL_ENV_H_
 
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "abv/env.h"
+#include "checker/record_pass.h"
 #include "psl/ast.h"
 #include "sim/clock.h"
 #include "sim/kernel.h"
@@ -97,6 +101,7 @@ class RtlAbvEnv : public AbvEnv {
   sim::Kernel& kernel_;
   SignalBag& signals_;
   std::vector<psl::ClockContext::Kind> kinds_;
+  checker::RecordPass pass_;  // shared by every checker
   // Reusable per-event snapshot buffer, built over signals_.keys() at
   // attach(); refilled (recycled) at every sampled edge.
   tlm::Snapshot sample_buffer_;

@@ -2,14 +2,16 @@
 //
 // A CoverageTable holds one Row per property. The checker (or wrapper) that
 // owns a property is the only writer of that property's Row; it mirrors its
-// bookkeeping stats into the Row with relaxed atomic stores at the end of
-// every event it processes. Readers (the EvalEngine snapshot sampler, the
-// service daemon once it exists) read the whole table concurrently with
-// relaxed loads. Because each Row has exactly one writer, plain stores of
-// the current totals suffice — no read-modify-write is needed — and a
-// mid-run read observes some recent, internally-plausible prefix of the
-// run. The end-of-run values are exact: `EvalEngine::finish()` joins every
-// shard before the final sample is taken.
+// bookkeeping stats into the Row with relaxed atomic stores at sync points,
+// not per event: its publish() runs before each mid-run snapshot line on the
+// serial engine path, at the end of each shard batch, and at finish().
+// Readers (the EvalEngine snapshot sampler, the service daemon once it
+// exists) read the whole table concurrently with relaxed loads. Because each
+// Row has exactly one writer, plain stores of the current totals suffice —
+// no read-modify-write is needed. A serial mid-run line is exact; a sharded
+// one observes some recent, internally-plausible prefix of the run. The
+// end-of-run values are exact: `EvalEngine::finish()` joins every shard
+// before the final sample is taken.
 //
 // Semantics of the counters (see DESIGN.md §13):
 //   activations       instances anchored (one per matched activation event)

@@ -13,13 +13,16 @@ Histogram::Histogram(std::vector<uint64_t> bounds)
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
 }
 
-void Histogram::record(uint64_t value) {
+void Histogram::record(uint64_t value) { record(value, 1); }
+
+void Histogram::record(uint64_t value, uint64_t n) {
+  if (n == 0) return;
   const size_t bucket =
       std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin();
   if (counts_.empty()) counts_.resize(1, 0);  // default-constructed: 1 bucket
-  ++counts_[std::min(bucket, counts_.size() - 1)];
-  ++total_;
-  sum_ += value;
+  counts_[std::min(bucket, counts_.size() - 1)] += n;
+  total_ += n;
+  sum_ += value * n;
   max_ = std::max(max_, value);
 }
 

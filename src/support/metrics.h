@@ -36,6 +36,9 @@ class Histogram {
   explicit Histogram(std::vector<uint64_t> bounds);
 
   void record(uint64_t value);
+  // `n` samples of `value` at once; the same buckets, total, sum and max as
+  // n record(value) calls (n == 0 changes nothing).
+  void record(uint64_t value, uint64_t n);
   // Merges `other` into this histogram; bucket bounds must match (an empty
   // histogram adopts the other's bounds).
   void merge(const Histogram& other);

@@ -619,8 +619,12 @@ TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
     const std::vector<tlm::Snapshot> snaps =
         to_snapshots(trace, {"c", "a", "b"});
     const auto program = Program::compile(body);
-    AtomSlots slots;
-    slots.reset("p", program.get());
+    // Program atoms registered first take slots 0..n-1: the table's bits
+    // are then the program's Event::atoms.
+    AtomTable table;
+    for (size_t a = 0; a < program->atoms().size(); ++a) {
+      ASSERT_EQ(table.atom(program->atoms()[a]), a);
+    }
     for (size_t k = 0; k < trace.size(); ++k) {
       if (eval_boolean(antecedent, trace[k].values)) continue;
       ++anchors;
@@ -631,7 +635,7 @@ TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
       EXPECT_EQ(interpreted.step(ev), Verdict::kTrue);
       EXPECT_EQ(compiled.step(ev), Verdict::kTrue);
       const abv::ObservablesContext ctx(snaps[k]);
-      const uint8_t* bits = slots.load(ctx);
+      const uint8_t* bits = table.load(ctx);
       ASSERT_NE(bits, nullptr);
       const Event slot_ev{trace[k].time, &ctx, bits};
       Instance slot_compiled(program);
@@ -831,10 +835,10 @@ TEST(IrSlotBinding, RebindsWhenTheDictionaryChanges) {
   eq.op = psl::CmpOp::kEq;
   eq.rhs_is_signal = true;
   eq.rhs_signal = "b";
-  const auto program = Program::compile(psl::atom(eq));
-  AtomSlots slots;
-  slots.reset("p", program.get());
-  BoolCode code = slots.compile(psl::not_(psl::sig("c")));
+  AtomTable table;
+  const uint32_t eq_slot = table.atom(eq);
+  const uint32_t not_c = table.boolean(psl::not_(psl::sig("c")));
+  const uint32_t c_slot = table.boolean(psl::sig("c"));
 
   auto first = std::make_shared<const tlm::Snapshot::Keys>(
       tlm::Snapshot::Keys{"a", "b", "c"});
@@ -842,11 +846,12 @@ TEST(IrSlotBinding, RebindsWhenTheDictionaryChanges) {
   s1.set("a", 4);
   s1.set("b", 4);
   s1.set("c", 0);
-  const uint8_t* bits = slots.load(abv::ObservablesContext(s1));
+  const uint8_t* bits = table.load(abv::ObservablesContext(s1));
   ASSERT_NE(bits, nullptr);
-  EXPECT_EQ(bits[0], 1);  // a == b
-  EXPECT_EQ(bits[1], 0);  // c
-  EXPECT_TRUE(code.eval(bits));  // !c
+  EXPECT_EQ(bits[eq_slot], 1);  // a == b
+  EXPECT_EQ(bits[c_slot], 0);   // c
+  EXPECT_EQ(bits[not_c], 1);    // !c
+  const uint64_t bound = table.generation();
 
   auto second = std::make_shared<const tlm::Snapshot::Keys>(
       tlm::Snapshot::Keys{"c", "b", "a"});
@@ -854,17 +859,19 @@ TEST(IrSlotBinding, RebindsWhenTheDictionaryChanges) {
   s2.set("a", 4);
   s2.set("b", 5);
   s2.set("c", 1);
-  bits = slots.load(abv::ObservablesContext(s2));
+  bits = table.load(abv::ObservablesContext(s2));
   ASSERT_NE(bits, nullptr);
-  EXPECT_EQ(bits[0], 0);
-  EXPECT_EQ(bits[1], 1);
-  EXPECT_FALSE(code.eval(bits));
-  EXPECT_FALSE(slots.failed());
+  EXPECT_EQ(bits[eq_slot], 0);
+  EXPECT_EQ(bits[c_slot], 1);
+  EXPECT_EQ(bits[not_c], 0);
+  EXPECT_EQ(table.generation(), bound + 1);  // rebound
+  EXPECT_EQ(table.missing(eq_slot), nullptr);
+  EXPECT_EQ(table.missing(c_slot), nullptr);
 
   // A context without a positional view keeps the name path.
   MapContext by_name({{"a", 1}, {"b", 1}, {"c", 1}});
-  EXPECT_EQ(slots.load(by_name), nullptr);
-  EXPECT_FALSE(slots.failed());
+  EXPECT_EQ(table.load(by_name), nullptr);
+  EXPECT_EQ(table.bits(), nullptr);
 }
 
 TEST(IrSlotBinding, MissingObservableFailsAtBindTime) {

@@ -48,6 +48,37 @@ TEST(Histogram, RecordsIntoInclusiveUpperBuckets) {
   EXPECT_EQ(h.max(), 1000u);
 }
 
+TEST(Histogram, RecordNEqualsNSingleRecords) {
+  for (const uint64_t value : {0u, 10u, 11u, 1000u}) {
+    for (const uint64_t n : {1u, 2u, 7u}) {
+      support::Histogram batched(support::exponential_bounds(10, 3));
+      support::Histogram single(support::exponential_bounds(10, 3));
+      batched.record(3);
+      single.record(3);
+      batched.record(value, n);
+      for (uint64_t i = 0; i < n; ++i) single.record(value);
+      EXPECT_EQ(batched.counts(), single.counts()) << value << " x" << n;
+      EXPECT_EQ(batched.total(), single.total()) << value << " x" << n;
+      EXPECT_EQ(batched.sum(), single.sum()) << value << " x" << n;
+      EXPECT_EQ(batched.max(), single.max()) << value << " x" << n;
+    }
+  }
+}
+
+TEST(Histogram, RecordZeroTimesIsANoOp) {
+  support::Histogram h(support::exponential_bounds(10, 3));
+  h.record(1000, 0);
+  EXPECT_EQ(h.counts(), (std::vector<uint64_t>{0, 0, 0, 0}));
+  EXPECT_EQ(h.total(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  // Not even a default-constructed histogram grows its bucket.
+  support::Histogram empty;
+  empty.record(5, 0);
+  EXPECT_TRUE(empty.counts().empty());
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(Histogram, MergeAddsCountsAndAdoptsBoundsWhenEmpty) {
   support::Histogram a(support::exponential_bounds(10, 2));
   support::Histogram b(support::exponential_bounds(10, 2));
