@@ -308,6 +308,24 @@ TEST(PropertyChecker, UncompletedCountsPendingAtFinish) {
   EXPECT_TRUE(checker.ok());
 }
 
+TEST(PropertyChecker, FinishRetiresPendingSessionsAtTheLastEvent) {
+  // a fires at 100 and b never rises: the strong obligation is still
+  // pending when the trace ends at 300, so it fails there, 200 ns after
+  // its activation.
+  PropertyChecker checker("t", parse("always (!a || eventually! b)"), nullptr);
+  for (const psl::TimeNs time : {100, 200, 300}) {
+    MapContext ctx;
+    ctx.set("a", time == 100);
+    ctx.set("b", 0);
+    checker.on_event(time, ctx);
+  }
+  checker.finish();
+  EXPECT_EQ(checker.stats().failures, 1u);
+  ASSERT_EQ(checker.failures().size(), 1u);
+  EXPECT_EQ(checker.failures()[0].time, 300u);
+  EXPECT_EQ(checker.latency_histogram().max(), 200u);
+}
+
 // ---- Randomized equivalence with the reference evaluator -----------------------------
 
 // Random formula over signals {a, b, c} from the operator classes the
