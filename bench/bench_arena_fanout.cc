@@ -26,7 +26,7 @@
 
 #include "abv/eval_engine.h"
 #include "bench_table_common.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "psl/parser.h"
 #include "support/batch_arena.h"
 #include "tlm/transaction.h"
@@ -152,7 +152,7 @@ double run_engine(size_t jobs, size_t batch_size, size_t max_inflight,
                     .batch_size = batch_size,
                     .max_inflight_batches = max_inflight};
   abv::EvalEngine engine(options);
-  std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers;
+  std::vector<std::unique_ptr<checker::PropertyChecker>> wrappers;
   for (const char* text :
        {"s1: always (!ds || next_e[1,40](rdy)) @Tb",
         "s2: always (!ds || next_e[1,80](rdy)) @Tb",
@@ -161,7 +161,7 @@ double run_engine(size_t jobs, size_t batch_size, size_t max_inflight,
         "s3: always (!ds || next_e[2,80](rdy)) @Tb",
         "s4: always (!ds || next_e[1,120](rdy)) @Tb"}) {
     wrappers.push_back(
-        std::make_unique<checker::TlmCheckerWrapper>(tlm_prop(text), 10));
+        std::make_unique<checker::PropertyChecker>(tlm_prop(text), 10));
     engine.add(wrappers.back().get());
   }
   const double start = now_s();

@@ -61,7 +61,7 @@
 
 #include "abv_options.h"
 #include "analysis/prune.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "models/colorconv/colorconv_core.h"
 #include "models/properties.h"
 #include "models/testbench.h"
@@ -87,7 +87,7 @@ bool buggy_model_is_caught() {
   // c2 is the second property of the suite.
   rewrite::AbstractionOutcome outcome =
       rewrite::abstract_property(suite.properties[1], options);
-  checker::TlmCheckerWrapper wrapper(*outcome.property, suite.clock_period_ns);
+  checker::PropertyChecker wrapper(*outcome.property, suite.clock_period_ns);
 
   auto transaction = [&](psl::TimeNs t, bool ds, uint64_t y) {
     checker::MapContext values;
@@ -100,7 +100,7 @@ bool buggy_model_is_caught() {
     values.set("y", y);
     values.set("cb", 128);
     values.set("cr", 128);
-    wrapper.on_transaction(t, values);
+    wrapper.on_event(t, values);
   };
   transaction(100, true, 0);    // pixel accepted
   transaction(180, false, 255); // result 8 cycles later: y out of range!

@@ -7,7 +7,7 @@
 // wrapper-based dynamic checking at TLM.
 #include <cstdio>
 
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "psl/parser.h"
 #include "rewrite/methodology.h"
 
@@ -38,13 +38,13 @@ int main() {
   // 3. Check it on a little transaction stream: a write at t=100 starting an
   //    operation on the zero block, and the read returning the result at
   //    t=100+170.
-  checker::TlmCheckerWrapper wrapper(q1, /*clock_period_ns=*/10);
+  checker::PropertyChecker wrapper(q1, /*clock_period_ns=*/10);
   auto transaction = [&](psl::TimeNs t, bool ds, uint64_t indata, uint64_t out) {
     checker::MapContext values;
     values.set("ds", ds ? 1 : 0);
     values.set("indata", indata);
     values.set("out", out);
-    wrapper.on_transaction(t, values);
+    wrapper.on_event(t, values);
   };
   transaction(100, true, 0, 0);            // write: operation starts
   transaction(110, false, 0, 0);           // write phase ends

@@ -101,16 +101,33 @@ checker::PropertyChecker* AbvEnv::add_checker(const psl::RtlProperty& property) 
   psl::ExprPtr formula = property.formula;
   psl::ExprPtr fold;
   if (!admit(property.name, formula, fold)) return nullptr;
-  checkers_.push_back(std::make_unique<checker::PropertyChecker>(
-      property.name, formula, property.context.guard, checker_options_));
+  return add(std::make_unique<checker::PropertyChecker>(
+                 property.name, formula, property.context.guard,
+                 checker_options_),
+             fold);
+}
+
+checker::PropertyChecker* AbvEnv::add_checker(const psl::TlmProperty& property,
+                                              psl::TimeNs clock_period_ns) {
+  psl::TlmProperty effective = property;
+  psl::ExprPtr fold;
+  if (!admit(property.name, effective.formula, fold)) return nullptr;
+  return add(std::make_unique<checker::PropertyChecker>(
+                 effective, clock_period_ns, checker_options_),
+             fold);
+}
+
+checker::PropertyChecker* AbvEnv::add(
+    std::unique_ptr<checker::PropertyChecker> checker,
+    const psl::ExprPtr& fold) {
   // Symbolic dead-node fold: swap in the slimmer program while the original
   // formula keeps driving cost accounting (verdict-stream parity-gated).
-  if (fold != nullptr) checkers_.back()->set_program_formula(fold);
+  if (fold != nullptr) checker->set_program_formula(fold);
+  checkers_.push_back(std::move(checker));
   return checkers_.back().get();
 }
 
 void AbvEnv::finish() {
-  for (auto& wrapper : wrappers_) wrapper->finish();
   for (auto& checker : checkers_) checker->finish();
 }
 
@@ -118,34 +135,22 @@ support::MetricsSnapshot AbvEnv::metrics_snapshot() const {
   return metrics_ != nullptr ? metrics_->snapshot() : support::MetricsSnapshot{};
 }
 
-bool AbvEnv::live_ok(const std::string& name, bool& found) const {
-  for (const auto& wrapper : wrappers_) {
-    if (wrapper->name() == name) {
-      found = true;
-      return wrapper->ok();
-    }
-  }
+const checker::PropertyChecker* AbvEnv::live(const std::string& name) const {
   for (const auto& checker : checkers_) {
-    if (checker->name() == name) {
-      found = true;
-      return checker->ok();
-    }
+    if (checker->name() == name) return checker.get();
   }
-  found = false;
-  return true;
+  return nullptr;
 }
 
 Report AbvEnv::report() const {
   Report report;
-  for (const auto& wrapper : wrappers_) report.add(*wrapper);
   for (const auto& checker : checkers_) report.add(*checker);
   for (const auto& d : pruned_) {
-    bool found = false;
-    bool subsumer_ok = true;
-    if (d.action == analysis::PruneAction::kSubsumed) {
-      subsumer_ok = live_ok(d.subsumed_by, found);
-    }
-    report.add_derived(derived_report_row(d, found, subsumer_ok));
+    const checker::PropertyChecker* subsumer =
+        d.action == analysis::PruneAction::kSubsumed ? live(d.subsumed_by)
+                                                     : nullptr;
+    report.add_derived(derived_report_row(d, subsumer != nullptr,
+                                          subsumer == nullptr || subsumer->ok()));
   }
   return report;
 }
@@ -153,37 +158,19 @@ Report AbvEnv::report() const {
 std::vector<analysis::Diagnostic> AbvEnv::prune_cross_check() const {
   std::vector<analysis::Diagnostic> out;
   for (const auto& d : audited_) {
-    uint64_t activations = 0;
-    uint64_t failures = 0;
-    bool have = false;
-    for (const auto& wrapper : wrappers_) {
-      if (wrapper->name() == d.name) {
-        activations = wrapper->stats().activations;
-        failures = wrapper->stats().failures;
-        have = true;
-      }
-    }
-    for (const auto& checker : checkers_) {
-      if (checker->name() == d.name) {
-        activations = checker->stats().activations;
-        failures = checker->stats().failures;
-        have = true;
-      }
-    }
-    if (!have) continue;
-    bool found = false;
-    const bool subsumer_ok = d.action == analysis::PruneAction::kSubsumed
-                                 ? live_ok(d.subsumed_by, found)
-                                 : true;
-    cross_check_decision(d, activations, failures, subsumer_ok, out);
+    const checker::PropertyChecker* audited = live(d.name);
+    if (audited == nullptr) continue;
+    const checker::PropertyChecker* subsumer =
+        d.action == analysis::PruneAction::kSubsumed ? live(d.subsumed_by)
+                                                     : nullptr;
+    cross_check_decision(d, audited->stats().activations,
+                         audited->stats().failures,
+                         subsumer == nullptr || subsumer->ok(), out);
   }
   return out;
 }
 
 std::string AbvEnv::binding_error() const {
-  for (const auto& wrapper : wrappers_) {
-    if (!wrapper->binding_error().empty()) return wrapper->binding_error();
-  }
   for (const auto& checker : checkers_) {
     if (!checker->binding_error().empty()) return checker->binding_error();
   }
@@ -191,14 +178,11 @@ std::string AbvEnv::binding_error() const {
 }
 
 bool AbvEnv::all_ok() const {
-  for (const auto& wrapper : wrappers_) {
-    if (!wrapper->ok()) return false;
-  }
   for (const auto& checker : checkers_) {
     if (!checker->ok()) return false;
   }
   // Derived verdicts: an elided-false property fails by construction; a
-  // subsumed property follows its subsumer, which the loops above covered.
+  // subsumed property follows its subsumer, which the loop above covered.
   for (const auto& d : pruned_) {
     if (d.action == analysis::PruneAction::kElide && !d.static_verdict) {
       return false;

@@ -3,8 +3,8 @@
 // RtlAbvEnv (clock-edge sampling) and TlmAbvEnv (transaction stream through
 // the evaluation engine) derive from AbvEnv. The base owns what both
 // produce one verification result from: the checker options, the prune
-// plan and its decisions, the wrappers and checkers, and the coverage
-// table. It implements property admission under the prune plan, the
+// plan and its decisions, the checkers, and the coverage table. It
+// implements property admission under the prune plan, the
 // report, the run verdict, binding errors and the PRN003 audit once, for
 // both levels.
 #ifndef REPRO_ABV_ENV_H_
@@ -18,7 +18,6 @@
 #include "analysis/diagnostic.h"
 #include "analysis/prune.h"
 #include "checker/checker.h"
-#include "checker/wrapper.h"
 #include "psl/ast.h"
 #include "support/coverage.h"
 #include "support/metrics.h"
@@ -34,8 +33,8 @@ class AbvEnv {
  public:
   virtual ~AbvEnv() = default;
 
-  // Checker backend and failure-log cap applied to wrappers and checkers
-  // registered *after* this call; call before registering properties.
+  // Checker backend and failure-log cap applied to checkers registered
+  // *after* this call; call before registering properties.
   void set_checker_options(checker::CheckerOptions options) {
     checker_options_ = options;
   }
@@ -44,7 +43,7 @@ class AbvEnv {
   }
 
   // Applies a prune plan to properties registered *after* this call: elided
-  // and subsumed properties do not spawn wrappers/checkers — their report
+  // and subsumed properties do not spawn checkers — their report
   // rows carry derived verdicts — and live properties with a specialized
   // formula compile the slimmed formula instead. With `cross_check` true
   // every property still runs and prune_cross_check() audits the derived
@@ -74,8 +73,8 @@ class AbvEnv {
   // End of the run: resolve outstanding obligations.
   virtual void finish();
 
-  // Live rows (wrappers, then checkers, in registration order), then the
-  // derived rows of pruned properties.
+  // Live rows in registration order, then the derived rows of pruned
+  // properties.
   Report report() const;
   bool all_ok() const;
   // First slot-binding error in registration order (a sampled or recorded
@@ -83,12 +82,12 @@ class AbvEnv {
   // or empty. Call after finish().
   std::string binding_error() const;
 
-  const std::vector<std::unique_ptr<checker::TlmCheckerWrapper>>& wrappers() const {
-    return wrappers_;
-  }
+  // Every live checker, in registration order.
   const std::vector<std::unique_ptr<checker::PropertyChecker>>& checkers() const {
     return checkers_;
   }
+  // The name abvbench/abv_e2e.cc reads the TLM-AT checkers through.
+  const auto& wrappers() const { return checkers(); }
 
   // Deterministic merged view of the engine's metrics registry; empty when
   // no engine was built (always at RTL).
@@ -104,22 +103,29 @@ class AbvEnv {
   bool admit(const std::string& name, psl::ExprPtr& formula,
              psl::ExprPtr& fold);
 
-  // Admits and registers an unabstracted RTL property as a plain checker
-  // (its clock context guard carries over); nullptr when pruned.
+  // Admits and registers an unabstracted RTL property (its clock context
+  // guard carries over); nullptr when pruned.
   checker::PropertyChecker* add_checker(const psl::RtlProperty& property);
+  // Admits and registers an abstracted TLM property, its instance pool
+  // sized by `clock_period_ns`; nullptr when pruned.
+  checker::PropertyChecker* add_checker(const psl::TlmProperty& property,
+                                        psl::TimeNs clock_period_ns);
 
   support::tracelog::TraceWriter* record_writer_ = nullptr;
   // Per-property coverage: pruned properties are annotated with their prune
-  // action; the TLM engine wires a live row into every wrapper and checker.
+  // action; the TLM engine wires a live row into every checker.
   support::CoverageTable coverage_;
-  std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers_;
   std::vector<std::unique_ptr<checker::PropertyChecker>> checkers_;
   std::unique_ptr<support::MetricsRegistry> metrics_;  // engine-backed only
 
  private:
-  // Verdict of the live wrapper/checker named `name`; `found` reports
-  // whether one exists (derived rows are not consulted).
-  bool live_ok(const std::string& name, bool& found) const;
+  // The live checker named `name`, or nullptr (derived rows are not
+  // consulted).
+  const checker::PropertyChecker* live(const std::string& name) const;
+  // Registers `checker` and swaps in the prune plan's program `fold`, if any.
+  checker::PropertyChecker* add(
+      std::unique_ptr<checker::PropertyChecker> checker,
+      const psl::ExprPtr& fold);
 
   checker::CheckerOptions checker_options_;
   const analysis::PrunePlan* prune_plan_ = nullptr;

@@ -65,15 +65,10 @@ EvalEngine::EvalEngine(Options options)
 
 EvalEngine::~EvalEngine() { stop_workers(); }
 
-void EvalEngine::add(checker::TlmCheckerWrapper* wrapper) {
-  // Serial mode evaluates on the dispatch lane; ensure_sharded() reassigns
-  // the wrapper to its shard's lane.
-  wrapper->set_trace(options_.trace, 0);
-  if (options_.config.jobs == 1) wrapper->attach(serial_pass_);
-  wrappers_.push_back(wrapper);
-}
-
 void EvalEngine::add(checker::PropertyChecker* checker) {
+  // Serial mode evaluates on the dispatch lane; ensure_sharded() reassigns
+  // the checker to its shard's lane.
+  checker->set_trace(options_.trace, 0);
   if (options_.config.jobs == 1) checker->attach(serial_pass_);
   checkers_.push_back(checker);
 }
@@ -85,21 +80,16 @@ uint64_t EvalEngine::tick() const {
 void EvalEngine::ensure_sharded() {
   if (sharded_) return;
   sharded_ = true;
-  const size_t units = wrappers_.size() + checkers_.size();
   const size_t count =
-      std::max<size_t>(1, std::min(options_.config.jobs, units));
+      std::max<size_t>(1, std::min(options_.config.jobs, checkers_.size()));
   for (size_t s = 0; s < count; ++s) shards_.emplace_back();
   // Round-robin in registration order balances heterogeneous property costs
   // across shards and is deterministic.
-  for (size_t i = 0; i < wrappers_.size(); ++i) {
-    Shard& shard = shards_[i % count];
-    shard.wrappers.push_back(wrappers_[i]);
-    wrappers_[i]->set_trace(options_.trace, static_cast<uint32_t>(i % count) + 1);
-    wrappers_[i]->attach(shard.pass);
-  }
   for (size_t i = 0; i < checkers_.size(); ++i) {
-    Shard& shard = shards_[(wrappers_.size() + i) % count];
+    Shard& shard = shards_[i % count];
     shard.checkers.push_back(checkers_[i]);
+    checkers_[i]->set_trace(options_.trace,
+                            static_cast<uint32_t>(i % count) + 1);
     checkers_[i]->attach(shard.pass);
   }
   for (size_t s = 0; s < count; ++s) {
@@ -134,15 +124,11 @@ void EvalEngine::process_batch(Shard& shard, size_t s, Batch* batch) {
   for (const tlm::TransactionRecord& record : batch->span) {
     const ObservablesContext ctx(record.observables);
     shard.pass.run(record.end, ctx);
-    for (checker::TlmCheckerWrapper* w : shard.wrappers) {
-      w->evaluate(record.end, ctx);
-    }
     for (checker::PropertyChecker* c : shard.checkers) {
       c->evaluate(record.end, ctx);
     }
   }
   // Sync point: this shard is the only writer of its properties' rows.
-  for (checker::TlmCheckerWrapper* w : shard.wrappers) w->publish();
   for (checker::PropertyChecker* c : shard.checkers) c->publish();
   // Everything needed after release is copied out first: once this shard
   // releases (and some shard is the last), the ticket and the arena segment
@@ -254,7 +240,6 @@ void EvalEngine::on_record(const tlm::TransactionRecord& record) {
     if (options_.record_writer != nullptr) options_.record_writer->append(record);
     const ObservablesContext ctx(record.observables);
     serial_pass_.run(record.end, ctx);
-    for (checker::TlmCheckerWrapper* w : wrappers_) w->evaluate(record.end, ctx);
     for (checker::PropertyChecker* c : checkers_) c->evaluate(record.end, ctx);
     count_record(record.end);
     return;
@@ -315,23 +300,22 @@ void EvalEngine::publish_metrics() {
   uint64_t compiled = 0;
   uint64_t vector_batches = 0;
   uint64_t vector_lanes = 0;
-  for (checker::TlmCheckerWrapper* w : wrappers_) {
-    // Serial, in registration order: the merged histogram and the gauge
-    // high-water marks are deterministic for a given transaction stream.
-    options_.metrics->merge_histogram("wrapper.latency_ns",
-                                      w->latency_histogram());
-    pool_hw.set(0, w->stats().pool_capacity);
-    table_peak.set(0, w->stats().table_peak);
-    if (w->program() != nullptr) {
-      ++compiled;
-      program_nodes += w->program()->size();
-    }
-    vector_batches += w->stats().vector_batches;
-    vector_lanes += w->stats().vector_lanes_filled;
-  }
   for (checker::PropertyChecker* c : checkers_) {
     vector_batches += c->stats().vector_batches;
     vector_lanes += c->stats().vector_lanes_filled;
+    // The Sec. IV wrapper metrics cover abstracted properties only: the
+    // merged histogram needs matching bounds. Serial, in registration
+    // order: the merged histogram and the gauge high-water marks are
+    // deterministic for a given transaction stream.
+    if (!c->abstracted()) continue;
+    options_.metrics->merge_histogram("wrapper.latency_ns",
+                                      c->latency_histogram());
+    pool_hw.set(0, c->stats().pool_capacity);
+    table_peak.set(0, c->stats().table_peak);
+    if (c->program() != nullptr) {
+      ++compiled;
+      program_nodes += c->program()->size();
+    }
   }
   options_.metrics->gauge("checker.compiled_wrappers").set(0, compiled);
   options_.metrics->gauge("checker.program_nodes").set(0, program_nodes);
@@ -350,12 +334,10 @@ void EvalEngine::finish() {
     stop_workers();
   }
   const uint64_t t0 = options_.trace != nullptr ? options_.trace->now_ns() : 0;
-  for (checker::TlmCheckerWrapper* w : wrappers_) w->finish();
   for (checker::PropertyChecker* c : checkers_) c->finish();
   if (options_.trace != nullptr) {
     options_.trace->span_end(0, "retire", t0,
-                             {{"wrappers", wrappers_.size()},
-                              {"checkers", checkers_.size()}});
+                             {{"checkers", checkers_.size()}});
   }
   publish_metrics();
   // Final snapshot line: every shard has joined and every property retired,
@@ -375,7 +357,6 @@ void EvalEngine::count_record(uint64_t sim_time_ns) {
     // Serial sync point: the line then carries exact coverage. Sharded
     // properties publish at the end of their shard's batches instead.
     if (options_.config.jobs == 1) {
-      for (checker::TlmCheckerWrapper* w : wrappers_) w->publish();
       for (checker::PropertyChecker* c : checkers_) c->publish();
     }
     write_sample(sim_time_ns, /*final=*/false);

@@ -1,12 +1,12 @@
 // Sharded, pipelined evaluation engine for the TLM ABV runtime.
 //
-// The serial runtime walks every wrapper and checker at every transaction
-// end, so checking time grows linearly with the property count. The engine
-// removes that bottleneck for large suites: wrappers/checkers are
-// partitioned round-robin into per-worker shards, incoming transaction
-// records are appended once into a shared support::BatchArena, and sealed
-// batches are dispatched by span — every shard reads the same immutable
-// slab, eliminating the O(jobs) per-record fan-out copy.
+// The serial runtime walks every checker at every transaction end, so
+// checking time grows linearly with the property count. The engine removes
+// that bottleneck for large suites: checkers are partitioned round-robin
+// into per-worker shards, incoming transaction records are appended once
+// into a shared support::BatchArena, and sealed batches are dispatched by
+// span — every shard reads the same immutable slab, eliminating the
+// O(jobs) per-record fan-out copy.
 //
 // Dispatch is pipelined: each shard owns a worker thread with a FIFO batch
 // queue, so the producer seals a full segment and immediately starts
@@ -15,8 +15,8 @@
 // bound the producer blocks (backpressure) until a batch fully drains.
 //
 // Correctness model:
-//   - Each wrapper/checker is owned by exactly one shard, and shard queues
-//     are FIFO, so every property observes the exact event stream of the
+//   - Each checker is owned by exactly one shard, and shard queues are
+//     FIFO, so every property observes the exact event stream of the
 //     serial engine in arrival order; per-property stats, verdicts and
 //     failure logs are therefore identical for any `jobs` or
 //     `max_inflight_batches` value.
@@ -26,9 +26,9 @@
 //     observed by a stale reader.
 //   - The per-record work that does not depend on the property runs once
 //     per record in a checker::RecordPass: the serial path owns one, each
-//     shard owns its own (thread-owned state), and every wrapper and
-//     checker is attached to the pass of the path or shard that evaluates
-//     it. The pass evaluates the union of its properties' atoms, guards and
+//     shard owns its own (thread-owned state), and every checker is
+//     attached to the pass of the path or shard that evaluates it. The
+//     pass evaluates the union of its properties' atoms, guards and
 //     antecedents, and captures the record into one failure-witness ring;
 //     each property then reads only its own bits.
 //   - Failure witnesses copy the values they retain into the pass's flat
@@ -59,7 +59,6 @@
 
 #include "abv/engine_config.h"
 #include "checker/checker.h"
-#include "checker/wrapper.h"
 #include "support/batch_arena.h"
 #include "support/coverage.h"
 #include "support/metrics.h"
@@ -79,7 +78,8 @@ class EvalEngine {
     // callers pass their config group through unchanged.
     EngineConfig config;
     // Optional metrics registry (records, batches, arena/backpressure
-    // accounting, per-shard busy time, wrapper pool/latency at finish).
+    // accounting, per-shard busy time, and at finish the wrapper.* pool and
+    // latency metrics of the abstracted properties).
     // Lane 0 is the producer, lane s+1 backs shard s, so the registry must
     // have >= jobs + 1 lanes and outlive the engine. nullptr disables.
     support::MetricsRegistry* metrics = nullptr;
@@ -102,7 +102,7 @@ class EvalEngine {
     // line (when metrics_out is set).
     size_t metrics_interval = 0;
     // Live per-property coverage table serialized into each snapshot line;
-    // the caller attaches the table's rows to its wrappers/checkers. Must
+    // the caller attaches the table's rows to its checkers. Must
     // outlive the engine. nullptr serializes an empty coverage array.
     support::CoverageTable* coverage = nullptr;
     // Optional trace-log writer (--record-out): the ingested record stream
@@ -121,9 +121,8 @@ class EvalEngine {
   ~EvalEngine();
 
   // Registration, in report order. Call before the first on_record. The
-  // engine attaches each wrapper and checker to the record pass of the path
-  // or shard that evaluates it.
-  void add(checker::TlmCheckerWrapper* wrapper);
+  // engine attaches each checker to the record pass of the path or shard
+  // that evaluates it.
   void add(checker::PropertyChecker* checker);
 
   // One completed transaction. Serial mode evaluates immediately; sharded
@@ -163,7 +162,6 @@ class EvalEngine {
 
   // std::deque: Shard holds a mutex and is neither movable nor copyable.
   struct Shard {
-    std::vector<checker::TlmCheckerWrapper*> wrappers;
     std::vector<checker::PropertyChecker*> checkers;
     checker::RecordPass pass;  // owned by the shard's worker thread
     std::mutex mu;
@@ -187,7 +185,6 @@ class EvalEngine {
   void write_sample(uint64_t sim_time_ns, bool final);
 
   Options options_;
-  std::vector<checker::TlmCheckerWrapper*> wrappers_;
   std::vector<checker::PropertyChecker*> checkers_;
   checker::RecordPass serial_pass_;  // jobs = 1
 

@@ -59,29 +59,10 @@ void Report::add(const checker::PropertyChecker& checker) {
   p.trivial = s.trivial;
   p.real_passes = s.real_passes;
   p.vacuous_passes = s.vacuous_passes;
+  p.missed_deadlines = s.missed_deadlines;
   p.node_visits = s.node_visits;
   p.latency_ns = checker.latency_histogram();
   p.failure_log = checker.failures();
-  properties_.push_back(std::move(p));
-}
-
-void Report::add(const checker::TlmCheckerWrapper& wrapper) {
-  const checker::WrapperStats& s = wrapper.stats();
-  PropertyReport p;
-  p.name = wrapper.name();
-  p.events = s.transactions;
-  p.activations = s.activations;
-  p.holds = s.holds;
-  p.failures = s.failures;
-  p.uncompleted = s.uncompleted;
-  p.steps = s.steps;
-  p.trivial = s.trivial;
-  p.real_passes = s.real_passes;
-  p.vacuous_passes = s.vacuous_passes;
-  p.missed_deadlines = s.missed_deadlines;
-  p.node_visits = s.node_visits;
-  p.latency_ns = wrapper.latency_histogram();
-  p.failure_log = wrapper.failures();
   properties_.push_back(std::move(p));
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "checker/checker.h"
-#include "checker/wrapper.h"
 #include "support/metrics.h"
 
 namespace repro::abv {
@@ -31,7 +30,7 @@ struct PropertyReport {
   // Activation-to-verdict sim-time latency, one sample per retirement.
   support::Histogram latency_ns;
   // Logged violations (capped at the checker), with the failure-witness ring
-  // captured at verdict time for wrapper-checked properties.
+  // captured at verdict time for abstracted properties.
   std::vector<checker::Failure> failure_log;
   // Prune-plan accounting: empty for live rows; "elide" / "subsumed" for
   // rows whose verdict was derived instead of simulated. `derived_from`
@@ -87,7 +86,6 @@ struct ReportTiming {
 class Report {
  public:
   void add(const checker::PropertyChecker& checker);
-  void add(const checker::TlmCheckerWrapper& wrapper);
   // Adds a pre-built row for a property that never spawned a checker (the
   // prune plan derived its verdict); `row.prune` must be set.
   void add_derived(PropertyReport row);

@@ -2,17 +2,6 @@
 
 namespace repro::abv {
 
-void TlmAbvEnv::add_property(const psl::TlmProperty& property) {
-  psl::TlmProperty effective = property;
-  psl::ExprPtr fold;
-  if (!admit(property.name, effective.formula, fold)) return;
-  wrappers_.push_back(std::make_unique<checker::TlmCheckerWrapper>(
-      effective, clock_period_ns_, checker_options()));
-  // Symbolic dead-node fold: swap in the slimmer program while the original
-  // formula keeps driving cost accounting (verdict-stream parity-gated).
-  if (fold != nullptr) wrappers_.back()->set_program_formula(fold);
-}
-
 void TlmAbvEnv::bind() {
   EvalEngine::Options options;
   options.config = EvalEngine::clamped(engine_config_);
@@ -27,12 +16,9 @@ void TlmAbvEnv::bind() {
   options.coverage = &coverage_;
   options.record_writer = record_writer_;
   engine_ = std::make_unique<EvalEngine>(options);
-  for (auto& wrapper : wrappers_) {
-    wrapper->set_witness_depth(witness_depth_);
-    wrapper->set_coverage(&coverage_.row(wrapper->name()));
-    engine_->add(wrapper.get());
-  }
   for (auto& checker : checkers_) {
+    // Unabstracted properties log their failures without witnesses.
+    if (checker->abstracted()) checker->set_witness_depth(witness_depth_);
     checker->set_coverage(&coverage_.row(checker->name()));
     engine_->add(checker.get());
   }

@@ -1,12 +1,13 @@
 // TLM dynamic ABV environment.
 //
 // Subscribes to a TransactionRecorder and drives, at the end of each
-// transaction (the basic transaction context Tb):
-//   - TlmCheckerWrappers for properties abstracted with Methodology III.1
-//     (the intended use, Sec. IV), and
-//   - plain PropertyCheckers for unabstracted RTL properties replayed at
-//     TLM-CA (the paper's TLM-CA rows of Table I), where every per-cycle
-//     transaction stands for a clock edge.
+// transaction (the basic transaction context Tb), one PropertyChecker per
+// property:
+//   - properties abstracted with Methodology III.1 (the intended use,
+//     Sec. IV), and
+//   - unabstracted RTL properties replayed at TLM-CA (the paper's TLM-CA
+//     rows of Table I), where every per-cycle transaction stands for a
+//     clock edge.
 #ifndef REPRO_ABV_TLM_ENV_H_
 #define REPRO_ABV_TLM_ENV_H_
 
@@ -27,7 +28,7 @@ namespace repro::abv {
 class TlmAbvEnv : public AbvEnv {
  public:
   // `clock_period_ns` is the reference RTL clock period, used to size the
-  // wrapper instance pools (Sec. IV point 1).
+  // instance pools of abstracted properties (Sec. IV point 1).
   explicit TlmAbvEnv(psl::TimeNs clock_period_ns = 10)
       : clock_period_ns_(clock_period_ns) {}
 
@@ -38,8 +39,8 @@ class TlmAbvEnv : public AbvEnv {
   // results (see EvalEngine).
   void set_engine_config(const EngineConfig& config) { engine_config_ = config; }
 
-  // Failure-witness ring depth applied to every wrapper at bind() (0
-  // disables witness capture).
+  // Failure-witness ring depth applied to every abstracted property at
+  // bind() (0 disables witness capture).
   void set_witness_depth(size_t depth) { witness_depth_ = depth; }
 
   // Chrome-trace sink for engine spans and failure instants; must outlive
@@ -55,9 +56,11 @@ class TlmAbvEnv : public AbvEnv {
     metrics_interval_ = interval_records;
   }
 
-  // Registers an abstracted TLM property (checked through the wrapper),
-  // subject to the prune plan.
-  void add_property(const psl::TlmProperty& property);
+  // Registers an abstracted TLM property (checked per Sec. IV), subject to
+  // the prune plan.
+  void add_property(const psl::TlmProperty& property) {
+    add_checker(property, clock_period_ns_);
+  }
 
   // Registers an unabstracted RTL property evaluated on the transaction
   // stream (per-cycle transactions at TLM-CA); the clock context guard, if

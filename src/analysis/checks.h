@@ -32,7 +32,7 @@
 
 #include "analysis/bool_logic.h"
 #include "analysis/diagnostic.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "rewrite/methodology.h"
 #include "rewrite/pass_manager.h"
 

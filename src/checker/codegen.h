@@ -18,7 +18,8 @@
 // becomes a plain struct with explicit state and a step function — no
 // virtual dispatch, no library dependency. Generated checkers construct a
 // fresh obligation per activation (no instance pooling): they favour
-// integration simplicity over the wrapper's recycling optimization.
+// integration simplicity over PropertyChecker's instance recycling (Sec. IV
+// point 3).
 #ifndef REPRO_CHECKER_CODEGEN_H_
 #define REPRO_CHECKER_CODEGEN_H_
 

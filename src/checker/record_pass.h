@@ -5,10 +5,10 @@
 // A RecordPass evaluates the owner's AtomTable (every registered property's
 // atoms, guards, antecedents and boolean bodies; see slot_binding.h) and
 // captures the record into one failure-witness ring. The serial engine path,
-// each engine shard and the RTL environment own one pass; every wrapper and
-// checker registered with them attaches to it and then only reads its own
-// bits. A checker or wrapper used on its own owns a private pass, so both
-// uses run the same binding, evaluation and capture code.
+// each engine shard and the RTL environment own one pass; every checker
+// registered with them attaches to it and then only reads its own bits. A
+// checker used on its own owns a private pass, so both uses run the same
+// binding, evaluation and capture code.
 #ifndef REPRO_CHECKER_RECORD_PASS_H_
 #define REPRO_CHECKER_RECORD_PASS_H_
 

@@ -103,8 +103,8 @@ class AtomTable {
 
 // One property's view of an AtomTable: the slots of its atoms, context
 // guard, derived antecedent and (when purely boolean) body, and the queries
-// PropertyChecker and TlmCheckerWrapper make at each record. Every query
-// takes the bits bits() returned, or nullptr for the name path.
+// PropertyChecker makes at each record. Every query takes the bits bits()
+// returned, or nullptr for the name path.
 class ActivationLogic {
  public:
   // Registers the property with `table`. `program` is null on the

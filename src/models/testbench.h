@@ -57,10 +57,11 @@ struct ObservabilityConfig {
   // When non-empty, the TLM runners write a Chrome trace-event JSON file
   // here (engine spans, failure instants).
   std::string trace_path;
-  // Failure-witness ring depth per wrapper (0 disables capture). Ignored
-  // for unabstracted replay (plain checkers carry no witnesses).
+  // Failure-witness ring depth per abstracted property (0 disables
+  // capture). Ignored for unabstracted properties, whose failures carry no
+  // witnesses.
   size_t witness_depth = 8;
-  // Maximum failure entries retained per checker/wrapper for diagnostics.
+  // Maximum failure entries retained per checker for diagnostics.
   size_t failure_log_cap = 64;
   // When non-empty, the TLM runners stream periodic JSONL snapshots of the
   // merged metrics registry + per-property coverage table here (one compact

@@ -1,7 +1,7 @@
 // Live per-property coverage & vacuity counters.
 //
-// A CoverageTable holds one Row per property. The checker (or wrapper) that
-// owns a property is the only writer of that property's Row; it mirrors its
+// A CoverageTable holds one Row per property. The checker that owns a
+// property is the only writer of that property's Row; it mirrors its
 // bookkeeping stats into the Row with relaxed atomic stores at sync points,
 // not per event: its publish() runs before each mid-run snapshot line on the
 // serial engine path, at the end of each shard batch, and at finish().
@@ -46,7 +46,7 @@ namespace repro::support {
 
 class CoverageTable {
  public:
-  // One writer (the owning checker/wrapper thread), many readers.
+  // One writer (the owning checker's thread), many readers.
   struct Row {
     std::atomic<uint64_t> activations{0};
     std::atomic<uint64_t> holds{0};

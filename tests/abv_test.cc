@@ -137,7 +137,7 @@ TEST(TlmAbvEnv, DrivesWrappersFromRecorder) {
   kernel.run_all();
   env.finish();
   EXPECT_TRUE(env.all_ok());
-  EXPECT_EQ(env.wrappers()[0]->stats().transactions, 2u);
+  EXPECT_EQ(env.wrappers()[0]->stats().events, 2u);
   EXPECT_EQ(env.wrappers()[0]->stats().activations, 2u);
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "abv/eval_engine.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "psl/parser.h"
 #include "support/batch_arena.h"
 #include "support/metrics.h"
@@ -174,7 +174,7 @@ std::vector<tlm::TransactionRecord> mixed_stream(size_t n) {
 enum class Ingest { kCopy, kMove, kBulk };
 
 struct SuiteRun {
-  std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers;
+  std::vector<std::unique_ptr<checker::PropertyChecker>> wrappers;
 };
 
 SuiteRun run_suite(abv::EngineConfig config, size_t records,
@@ -186,7 +186,7 @@ SuiteRun run_suite(abv::EngineConfig config, size_t records,
   options.metrics = metrics;
   abv::EvalEngine engine(options);
   for (const psl::TlmProperty& p : small_suite()) {
-    run.wrappers.push_back(std::make_unique<checker::TlmCheckerWrapper>(p, 10));
+    run.wrappers.push_back(std::make_unique<checker::PropertyChecker>(p, 10));
     engine.add(run.wrappers.back().get());
   }
   std::vector<tlm::TransactionRecord> stream = mixed_stream(records);
@@ -208,10 +208,10 @@ SuiteRun run_suite(abv::EngineConfig config, size_t records,
 void expect_identical(const SuiteRun& a, const SuiteRun& b) {
   ASSERT_EQ(a.wrappers.size(), b.wrappers.size());
   for (size_t i = 0; i < a.wrappers.size(); ++i) {
-    const checker::TlmCheckerWrapper& wa = *a.wrappers[i];
-    const checker::TlmCheckerWrapper& wb = *b.wrappers[i];
+    const checker::PropertyChecker& wa = *a.wrappers[i];
+    const checker::PropertyChecker& wb = *b.wrappers[i];
     ASSERT_EQ(wa.name(), wb.name());
-    EXPECT_EQ(wa.stats().transactions, wb.stats().transactions) << wa.name();
+    EXPECT_EQ(wa.stats().events, wb.stats().events) << wa.name();
     EXPECT_EQ(wa.stats().activations, wb.stats().activations) << wa.name();
     EXPECT_EQ(wa.stats().failures, wb.stats().failures) << wa.name();
     EXPECT_EQ(wa.stats().holds, wb.stats().holds) << wa.name();
@@ -279,7 +279,7 @@ TEST(PipelineDispatch, FinishWithoutRecordsPublishesZeroArenaActivity) {
   support::MetricsRegistry metrics(/*lanes=*/5);  // producer + 4 shards
   const SuiteRun run = run_suite({.jobs = 4}, /*records=*/0, &metrics);
   for (const auto& w : run.wrappers) {
-    EXPECT_EQ(w->stats().transactions, 0u);
+    EXPECT_EQ(w->stats().events, 0u);
     EXPECT_EQ(w->stats().activations, 0u);
   }
   const support::MetricsSnapshot snap = metrics.snapshot();

@@ -19,7 +19,6 @@
 #include "checker/instance.h"
 #include "checker/program.h"
 #include "checker/trace.h"
-#include "checker/wrapper.h"
 #include "psl/ast.h"
 #include "psl/parser.h"
 #include "support/coverage.h"
@@ -176,13 +175,13 @@ MapContext handshake(bool ds, bool rdy) {
 
 TEST(CoverageWrapper, CountsMissedDeadlinesAndVacuousPasses) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  TlmCheckerWrapper wrapper(p, 10);
+  PropertyChecker wrapper(p, 10);
   // ds at t=10 schedules a deadline at t=30; the next transaction arrives
   // long past it, so the evaluation-table pop counts a missed deadline.
-  wrapper.on_transaction(10, handshake(true, false));
-  wrapper.on_transaction(100, handshake(false, false));
+  wrapper.on_event(10, handshake(true, false));
+  wrapper.on_event(100, handshake(false, false));
   wrapper.finish();
-  const WrapperStats& s = wrapper.stats();
+  const CheckerStats& s = wrapper.stats();
   EXPECT_EQ(s.missed_deadlines, 1u);
   EXPECT_GT(s.failures, 0u);       // rdy never rose inside the window
   EXPECT_GT(s.vacuous_passes, 0u); // the ds=0 activation resolved trivially
@@ -191,11 +190,11 @@ TEST(CoverageWrapper, CountsMissedDeadlinesAndVacuousPasses) {
 
 TEST(CoverageWrapper, RealPassWhenConsequentExercised) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  TlmCheckerWrapper wrapper(p, 10);
-  wrapper.on_transaction(10, handshake(true, false));
-  wrapper.on_transaction(20, handshake(false, true));  // rdy inside the window
+  PropertyChecker wrapper(p, 10);
+  wrapper.on_event(10, handshake(true, false));
+  wrapper.on_event(20, handshake(false, true));  // rdy inside the window
   wrapper.finish();
-  const WrapperStats& s = wrapper.stats();
+  const CheckerStats& s = wrapper.stats();
   EXPECT_EQ(s.failures, 0u);
   EXPECT_GE(s.real_passes, 1u);
   EXPECT_EQ(s.missed_deadlines, 0u);
@@ -283,7 +282,7 @@ std::vector<tlm::TransactionRecord> handshake_stream(size_t n) {
 // returns the emitted JSONL lines.
 std::vector<std::string> sample_run(size_t jobs, size_t interval) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
-  TlmCheckerWrapper wrapper(p, 10);
+  PropertyChecker wrapper(p, 10);
   support::CoverageTable coverage;
   wrapper.set_coverage(&coverage.row(wrapper.name()));
   std::ostringstream os;
@@ -364,16 +363,16 @@ std::vector<tlm::TransactionRecord> random_stream(size_t n) {
   return records;
 }
 
-// Wrappers and plain checkers sharing one serial engine.
+// Abstracted and unabstracted checkers sharing one serial engine.
 struct SamplerSuite {
-  std::vector<std::unique_ptr<TlmCheckerWrapper>> wrappers;
+  std::vector<std::unique_ptr<PropertyChecker>> wrappers;
   std::vector<std::unique_ptr<PropertyChecker>> checkers;
 
   SamplerSuite() {
     for (const char* text : {"w1: always (!ds || next_e[1,20](rdy)) @Tb",
                              "w2: always (!ds || (!rdy until rdy)) @Tb",
                              "w3: always (!rdy || data < 6) @Tb"}) {
-      wrappers.push_back(std::make_unique<TlmCheckerWrapper>(tlm_prop(text), 10));
+      wrappers.push_back(std::make_unique<PropertyChecker>(tlm_prop(text), 10));
     }
     checkers.push_back(std::make_unique<PropertyChecker>(
         "c1", parse("always (!ds || next[2](rdy))"), nullptr));
@@ -412,7 +411,7 @@ struct SamplerSuite {
       row.node_visits = visits;
     };
     for (const auto& w : wrappers) {
-      const WrapperStats& s = w->stats();
+      const CheckerStats& s = w->stats();
       fill(w->name(), s.activations, s.holds, s.failures, s.uncompleted,
            s.trivial, s.real_passes, s.vacuous_passes, s.missed_deadlines,
            s.node_visits);

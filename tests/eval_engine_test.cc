@@ -11,7 +11,7 @@
 
 #include "abv/eval_engine.h"
 #include "abv/tlm_env.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "models/testbench.h"
 #include "psl/parser.h"
 #include "tlm/transaction.h"
@@ -68,7 +68,7 @@ std::vector<tlm::TransactionRecord> mixed_stream(size_t n) {
 }
 
 struct SuiteRun {
-  std::vector<std::unique_ptr<checker::TlmCheckerWrapper>> wrappers;
+  std::vector<std::unique_ptr<checker::PropertyChecker>> wrappers;
 };
 
 SuiteRun run_suite(size_t jobs, size_t records) {
@@ -78,7 +78,7 @@ SuiteRun run_suite(size_t jobs, size_t records) {
   options.config.batch_size = 16;  // force several seals plus a finish() tail
   abv::EvalEngine engine(options);
   for (const psl::TlmProperty& p : mixed_suite()) {
-    run.wrappers.push_back(std::make_unique<checker::TlmCheckerWrapper>(p, 10));
+    run.wrappers.push_back(std::make_unique<checker::PropertyChecker>(p, 10));
     engine.add(run.wrappers.back().get());
   }
   for (const tlm::TransactionRecord& r : mixed_stream(records)) {
@@ -91,12 +91,12 @@ SuiteRun run_suite(size_t jobs, size_t records) {
 void expect_identical(const SuiteRun& a, const SuiteRun& b) {
   ASSERT_EQ(a.wrappers.size(), b.wrappers.size());
   for (size_t i = 0; i < a.wrappers.size(); ++i) {
-    const checker::TlmCheckerWrapper& wa = *a.wrappers[i];
-    const checker::TlmCheckerWrapper& wb = *b.wrappers[i];
+    const checker::PropertyChecker& wa = *a.wrappers[i];
+    const checker::PropertyChecker& wb = *b.wrappers[i];
     ASSERT_EQ(wa.name(), wb.name());
-    const checker::WrapperStats& sa = wa.stats();
-    const checker::WrapperStats& sb = wb.stats();
-    EXPECT_EQ(sa.transactions, sb.transactions) << wa.name();
+    const checker::CheckerStats& sa = wa.stats();
+    const checker::CheckerStats& sb = wb.stats();
+    EXPECT_EQ(sa.events, sb.events) << wa.name();
     EXPECT_EQ(sa.activations, sb.activations) << wa.name();
     EXPECT_EQ(sa.failures, sb.failures) << wa.name();
     EXPECT_EQ(sa.holds, sb.holds) << wa.name();
@@ -142,7 +142,7 @@ TEST(EvalEngine, FinishFlushesAPartialBatch) {
   const SuiteRun sharded = run_suite(/*jobs=*/4, /*records=*/5);
   expect_identical(serial, sharded);
   uint64_t transactions = 0;
-  for (const auto& w : sharded.wrappers) transactions += w->stats().transactions;
+  for (const auto& w : sharded.wrappers) transactions += w->stats().events;
   EXPECT_EQ(transactions, 5u * sharded.wrappers.size());
 }
 
@@ -151,10 +151,10 @@ TEST(EvalEngine, FinishWithoutRecordsRetiresNothing) {
   options.config.jobs = 4;
   abv::EvalEngine engine(options);
   auto p = tlm_prop("q: always (!ds || next_e[1,40](rdy)) @Tb");
-  checker::TlmCheckerWrapper wrapper(p, 10);
+  checker::PropertyChecker wrapper(p, 10);
   engine.add(&wrapper);
   engine.finish();
-  EXPECT_EQ(wrapper.stats().transactions, 0u);
+  EXPECT_EQ(wrapper.stats().events, 0u);
   EXPECT_EQ(wrapper.stats().activations, 0u);
 }
 

@@ -18,7 +18,7 @@
 #include "abv/snapshot_context.h"
 #include "abv/tlm_env.h"
 #include "checker/record_pass.h"
-#include "checker/wrapper.h"
+#include "checker/checker.h"
 #include "models/testbench.h"
 #include "psl/parser.h"
 #include "tlm/transaction.h"
@@ -193,7 +193,7 @@ const char* const kTlmTexts[] = {
 };
 
 // Rows of a TLM environment over `records`, registering the RTL texts
-// selected by `rtl` as plain checkers and the TLM texts selected by `tlm`.
+// selected by `rtl` as unabstracted checkers and the TLM texts selected by `tlm`.
 std::map<std::string, std::string> tlm_rows(
     const std::vector<tlm::TransactionRecord>& records, size_t jobs,
     const std::vector<size_t>& rtl, const std::vector<size_t>& tlm) {
@@ -391,12 +391,12 @@ TEST(RecordPass, SharedRingServesEveryWrappersDepth) {
       tlm_prop("d: always (!ds || next_e[1,20](rdy)) @Tb");
   const psl::TlmProperty shallow =
       tlm_prop("s: always (!ds || next_e[1,30](rdy && data != 7)) @Tb");
-  checker::TlmCheckerWrapper own_deep(deep, 10);
-  checker::TlmCheckerWrapper own_shallow(shallow, 10);
+  checker::PropertyChecker own_deep(deep, 10);
+  checker::PropertyChecker own_shallow(shallow, 10);
   own_deep.set_witness_depth(6);
   own_shallow.set_witness_depth(2);
-  checker::TlmCheckerWrapper shared_deep(deep, 10);
-  checker::TlmCheckerWrapper shared_shallow(shallow, 10);
+  checker::PropertyChecker shared_deep(deep, 10);
+  checker::PropertyChecker shared_shallow(shallow, 10);
   shared_deep.set_witness_depth(6);
   shared_shallow.set_witness_depth(2);
   checker::RecordPass pass;
@@ -406,17 +406,17 @@ TEST(RecordPass, SharedRingServesEveryWrappersDepth) {
 
   for (const tlm::TransactionRecord& r : two_dictionary_stream()) {
     const abv::ObservablesContext ctx(r.observables);
-    own_deep.on_transaction(r.end, ctx);
-    own_shallow.on_transaction(r.end, ctx);
+    own_deep.on_event(r.end, ctx);
+    own_shallow.on_event(r.end, ctx);
     pass.run(r.end, ctx);
     shared_deep.evaluate(r.end, ctx);
     shared_shallow.evaluate(r.end, ctx);
   }
-  for (checker::TlmCheckerWrapper* w :
+  for (checker::PropertyChecker* w :
        {&own_deep, &own_shallow, &shared_deep, &shared_shallow}) {
     w->finish();
   }
-  const auto row = [](const checker::TlmCheckerWrapper& w) {
+  const auto row = [](const checker::PropertyChecker& w) {
     abv::Report report;
     report.add(w);
     return row_json(report.properties().front());

@@ -16,7 +16,6 @@
 #include "checker/instance.h"
 #include "checker/program.h"
 #include "checker/trace.h"
-#include "checker/wrapper.h"
 #include "models/testbench.h"
 #include "psl/ast.h"
 #include "psl/parser.h"
@@ -232,8 +231,8 @@ MapContext handshake(bool ds, bool rdy, bool err = false) {
   return values;
 }
 
-void expect_same_outcome(const WrapperStats& v, const WrapperStats& s) {
-  EXPECT_EQ(v.transactions, s.transactions);
+void expect_same_outcome(const CheckerStats& v, const CheckerStats& s) {
+  EXPECT_EQ(v.events, s.events);
   EXPECT_EQ(v.activations, s.activations);
   EXPECT_EQ(v.failures, s.failures);
   EXPECT_EQ(v.holds, s.holds);
@@ -248,8 +247,8 @@ void expect_same_outcome(const WrapperStats& v, const WrapperStats& s) {
   EXPECT_EQ(v.node_visits, s.node_visits);
 }
 
-void expect_same_failures(const TlmCheckerWrapper& v,
-                          const TlmCheckerWrapper& s) {
+void expect_same_failures(const PropertyChecker& v,
+                          const PropertyChecker& s) {
   ASSERT_EQ(v.failures().size(), s.failures().size());
   for (size_t i = 0; i < v.failures().size(); ++i) {
     EXPECT_EQ(v.failures()[i].time, s.failures()[i].time) << i;
@@ -266,11 +265,11 @@ TEST(VectorWrapper, MissedDeadlineCohortMatchesScalar) {
   vec_opts.vectorized = true;
   CheckerOptions scalar_opts;
   scalar_opts.vectorized = false;
-  TlmCheckerWrapper vec(p, 10, vec_opts);
-  TlmCheckerWrapper scalar(p, 10, scalar_opts);
+  PropertyChecker vec(p, 10, vec_opts);
+  PropertyChecker scalar(p, 10, scalar_opts);
   auto feed = [&](psl::TimeNs t, bool ds, bool rdy) {
-    vec.on_transaction(t, handshake(ds, rdy));
-    scalar.on_transaction(t, handshake(ds, rdy));
+    vec.on_event(t, handshake(ds, rdy));
+    scalar.on_event(t, handshake(ds, rdy));
   };
   // Ten activations 10 ns apart, none ever answered...
   for (psl::TimeNs t = 10; t <= 100; t += 10) feed(t, true, false);
@@ -299,11 +298,11 @@ TEST(VectorWrapper, RaggedDenseCohortsAcrossMultipleBlocks) {
   vec_opts.vectorized = true;
   CheckerOptions scalar_opts;
   scalar_opts.vectorized = false;
-  TlmCheckerWrapper vec(p, 10, vec_opts);
-  TlmCheckerWrapper scalar(p, 10, scalar_opts);
+  PropertyChecker vec(p, 10, vec_opts);
+  PropertyChecker scalar(p, 10, scalar_opts);
   auto feed = [&](psl::TimeNs t, bool ds, bool rdy, bool err) {
-    vec.on_transaction(t, handshake(ds, rdy, err));
-    scalar.on_transaction(t, handshake(ds, rdy, err));
+    vec.on_event(t, handshake(ds, rdy, err));
+    scalar.on_event(t, handshake(ds, rdy, err));
   };
   // 150 concurrent pending sessions: three lane blocks, ragged tail.
   for (psl::TimeNs t = 10; t <= 1500; t += 10) feed(t, true, false, false);
@@ -329,13 +328,13 @@ TEST(VectorWrapper, MultiLanePrimesEmitTraceSpans) {
   const psl::TlmProperty p =
       tlm_prop("w: always (!ds || next_e[1,100](rdy)) @Tb");
   support::TraceSink sink;
-  TlmCheckerWrapper wrapper(p, 10);
+  PropertyChecker wrapper(p, 10);
   wrapper.set_trace(&sink, 3);
   // Same missed-deadline shape as above: a cohort pops after the gap.
   for (psl::TimeNs t = 10; t <= 100; t += 10) {
-    wrapper.on_transaction(t, handshake(true, false));
+    wrapper.on_event(t, handshake(true, false));
   }
-  wrapper.on_transaction(700, handshake(false, false));
+  wrapper.on_event(700, handshake(false, false));
   wrapper.finish();
   ASSERT_GT(wrapper.stats().vector_batches, 0u);
 
@@ -357,15 +356,15 @@ TEST(VectorWrapper, MixedDeadlineStreamMatchesScalar) {
   vec_opts.vectorized = true;
   CheckerOptions scalar_opts;
   scalar_opts.vectorized = false;
-  TlmCheckerWrapper vec(p, 10, vec_opts);
-  TlmCheckerWrapper scalar(p, 10, scalar_opts);
+  PropertyChecker vec(p, 10, vec_opts);
+  PropertyChecker scalar(p, 10, scalar_opts);
   Rng rng(20260809);
   psl::TimeNs t = 10;
   for (int i = 0; i < 400; ++i) {
     const bool ds = rng.chance(2, 3);
     const bool rdy = rng.chance(1, 3);
-    vec.on_transaction(t, handshake(ds, rdy));
-    scalar.on_transaction(t, handshake(ds, rdy));
+    vec.on_event(t, handshake(ds, rdy));
+    scalar.on_event(t, handshake(ds, rdy));
     // Mostly dense traffic with occasional deadline-skipping jumps.
     t += rng.chance(1, 10) ? 10 * rng.range(5, 30) : 10 * rng.range(1, 3);
   }
