@@ -232,7 +232,6 @@ struct SymbolicCost {
   size_t discharged = 0;  // proved never-failing over an exhaustive horizon
   size_t witnesses = 0;   // reachable failures with a replay-verified trace
   size_t dead_nodes = 0;  // program nodes that never influence the verdict
-  size_t folded = 0;      // programs shrunk by the parity-gated fold
   double seconds = 0;
 };
 
@@ -270,9 +269,6 @@ SymbolicCost symbolic_suite_cost(const models::PropertySuite& suite) {
         ++cost.witnesses;
       }
       if (sym.exhaustive()) cost.dead_nodes += sym.dead_nodes().size();
-      size_t folded_nodes = 0;
-      if (sym.fold_dead(&folded_nodes) != nullptr) ++cost.folded;
-      (void)folded_nodes;
     }
   }
   const std::chrono::duration<double> elapsed =
@@ -287,9 +283,9 @@ int run_symbolic_cost_section() {
   bench::BenchJson json("symbolic");
   std::printf("\n=== Symbolic analysis cost (16-step budget, both levels) "
               "===\n");
-  std::printf("%-10s %7s %9s %8s %11s %9s %11s %7s %10s\n", "suite", "levels",
+  std::printf("%-10s %7s %9s %8s %11s %9s %11s %10s\n", "suite", "levels",
               "analyzed", "skipped", "discharged", "witnesses", "dead nodes",
-              "folds", "seconds");
+              "seconds");
   double total_seconds = 0;
   for (const models::PropertySuite& suite :
        {models::des56_suite(), models::colorconv_suite()}) {
@@ -299,10 +295,10 @@ int run_symbolic_cost_section() {
         c.analyzed == 0 ? 0.0
                         : static_cast<double>(c.discharged) /
                               static_cast<double>(c.analyzed);
-    std::printf("%-10s %7zu %9zu %8zu %7zu/%-3.0f%% %9zu %11zu %7zu %10.5f\n",
+    std::printf("%-10s %7zu %9zu %8zu %7zu/%-3.0f%% %9zu %11zu %10.5f\n",
                 suite.design.c_str(), c.levels, c.analyzed, c.skipped,
                 c.discharged, 100.0 * discharged_fraction, c.witnesses,
-                c.dead_nodes, c.folded, c.seconds);
+                c.dead_nodes, c.seconds);
     if (json.enabled()) {
       char record[512];
       std::snprintf(
@@ -311,11 +307,11 @@ int run_symbolic_cost_section() {
           "\"step_budget\": 16, \"levels\": %zu, \"analyzed\": %zu, "
           "\"skipped\": %zu, \"discharged\": %zu, "
           "\"discharged_fraction\": %.6f, \"witnesses\": %zu, "
-          "\"dead_nodes\": %zu, \"folded_programs\": %zu, "
+          "\"dead_nodes\": %zu, "
           "\"seconds\": %.6f, \"budget_seconds\": %.1f}",
           suite.design.c_str(), suite.design.c_str(), c.levels, c.analyzed,
           c.skipped, c.discharged, discharged_fraction, c.witnesses,
-          c.dead_nodes, c.folded, c.seconds, kSymbolicBudgetSeconds);
+          c.dead_nodes, c.seconds, kSymbolicBudgetSeconds);
       json.add_raw(record);
     }
   }

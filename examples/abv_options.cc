@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "support/strutil.h"
 
@@ -18,8 +19,7 @@ void print_usage(const char* argv0, const char* extra_usage) {
                "          [--dump-passes] [--interpreter] [--no-vectorize]\n"
                "          %s[--analyze] [--Werror-analysis]\n"
                "          [--prune off|safe|aggressive] [--prune-plan-out FILE]\n"
-               "          [--symbolic-budget N] [--record-out FILE]\n"
-               "          [--replay FILE]\n",
+               "          [--record-out FILE] [--replay FILE]\n",
                argv0, extra_usage);
 }
 
@@ -29,92 +29,87 @@ AbvOptions parse_abv_options(int argc, char** argv,
   AbvOptions o;
   bool batching_flags_used = false;
   for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
+    auto is = [&](const char* name) { return std::strcmp(flag, name) == 0; };
+    // Names the bad argument, then the usage text; exit 2.
+    auto usage_error = [&](const std::string& message) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
+      print_usage(argv[0], extra_usage);
+      std::exit(2);
+    };
+    // The argument of a value flag; a value flag given last is a usage error.
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(std::string("missing value for ") + flag);
+      return argv[++i];
+    };
     // Strict numeric arguments: garbage ("abc", "64k", "-1") is a usage
     // error, not a silent 0.
     auto size_arg = [&](size_t& out) {
-      const std::optional<size_t> parsed = repro::parse_size(argv[++i]);
+      const char* text = value();
+      const std::optional<size_t> parsed = repro::parse_size(text);
       if (!parsed.has_value()) {
-        std::fprintf(stderr, "%s: bad numeric value '%s' for %s\n", argv[0],
-                     argv[i], argv[i - 1]);
-        print_usage(argv[0], extra_usage);
-        std::exit(2);
+        usage_error(std::string("bad numeric value '") + text + "' for " +
+                    flag);
       }
       out = *parsed;
     };
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    if (is("--jobs")) {
       size_arg(o.jobs);
       if (o.jobs == 0) o.jobs = 1;  // 0: serial
-    } else if (std::strcmp(argv[i], "--batch-size") == 0 && i + 1 < argc) {
+    } else if (is("--batch-size")) {
       size_arg(o.batch_size);
       if (o.batch_size == 0) o.batch_size = 1;
       batching_flags_used = true;
-    } else if (std::strcmp(argv[i], "--max-inflight") == 0 && i + 1 < argc) {
+    } else if (is("--max-inflight")) {
       size_arg(o.max_inflight);
       if (o.max_inflight == 0) o.max_inflight = 1;
       batching_flags_used = true;
-    } else if (std::strcmp(argv[i], "--witness-depth") == 0 && i + 1 < argc) {
+    } else if (is("--witness-depth")) {
       size_arg(o.witness_depth);
-    } else if (std::strcmp(argv[i], "--failure-log-cap") == 0 && i + 1 < argc) {
+    } else if (is("--failure-log-cap")) {
       size_arg(o.failure_log_cap);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      o.trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--report-out") == 0 && i + 1 < argc) {
-      o.report_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      o.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-interval") == 0 &&
-               i + 1 < argc) {
+    } else if (is("--trace-out")) {
+      o.trace_out = value();
+    } else if (is("--report-out")) {
+      o.report_out = value();
+    } else if (is("--metrics-out")) {
+      o.metrics_out = value();
+    } else if (is("--metrics-interval")) {
       size_arg(o.metrics_interval);
-    } else if (std::strcmp(argv[i], "--dump-passes") == 0) {
+    } else if (is("--dump-passes")) {
       o.dump_passes = true;
-    } else if (std::strcmp(argv[i], "--interpreter") == 0) {
+    } else if (is("--interpreter")) {
       o.interpreter = true;
-    } else if (std::strcmp(argv[i], "--no-vectorize") == 0) {
+    } else if (is("--no-vectorize")) {
       o.vectorized = false;
-    } else if (std::strcmp(argv[i], "--analyze") == 0) {
+    } else if (is("--analyze")) {
       if (o.analysis == models::AnalysisMode::kOff) {
         o.analysis = models::AnalysisMode::kOn;
       }
-    } else if (std::strcmp(argv[i], "--Werror-analysis") == 0) {
+    } else if (is("--Werror-analysis")) {
       o.analysis = models::AnalysisMode::kError;
-    } else if (std::strcmp(argv[i], "--prune") == 0 && i + 1 < argc) {
-      if (!analysis::parse_prune_mode(argv[++i], o.prune)) {
-        std::fprintf(stderr,
-                     "bad --prune value '%s' (want off, safe or aggressive)\n",
-                     argv[i]);
-        print_usage(argv[0], extra_usage);
-        std::exit(2);
+    } else if (is("--prune")) {
+      const char* mode = value();
+      if (!analysis::parse_prune_mode(mode, o.prune)) {
+        usage_error(std::string("bad --prune value '") + mode +
+                    "' (want off, safe or aggressive)");
       }
-    } else if (std::strcmp(argv[i], "--prune-plan-out") == 0 && i + 1 < argc) {
-      o.prune_plan_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--symbolic-budget") == 0 && i + 1 < argc) {
-      const std::optional<uint64_t> parsed = repro::parse_u64(argv[++i]);
-      if (!parsed.has_value()) {
-        std::fprintf(
-            stderr,
-            "bad --symbolic-budget value '%s' (want a non-negative integer)\n",
-            argv[i]);
-        print_usage(argv[0], extra_usage);
-        std::exit(2);
-      }
-      o.symbolic_budget = static_cast<size_t>(*parsed);
-    } else if (std::strcmp(argv[i], "--record-out") == 0 && i + 1 < argc) {
-      o.record_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
-      o.replay = argv[++i];
+    } else if (is("--prune-plan-out")) {
+      o.prune_plan_out = value();
+    } else if (is("--record-out")) {
+      o.record_out = value();
+    } else if (is("--replay")) {
+      o.replay = value();
     } else {
       bool matched = false;
-      for (const ExtraFlag& flag : extra) {
-        if (std::strcmp(argv[i], flag.name) == 0) {
-          *flag.value = true;
+      for (const ExtraFlag& extra_flag : extra) {
+        if (is(extra_flag.name)) {
+          *extra_flag.value = true;
           matched = true;
           break;
         }
       }
-      if (!matched) {
-        print_usage(argv[0], extra_usage);
-        std::exit(2);
-      }
+      if (!matched) usage_error(std::string("unknown option '") + flag + "'");
     }
   }
 
@@ -138,7 +133,6 @@ void apply(const AbvOptions& options, models::RunConfig& config) {
   config.compiled_checkers = !options.interpreter;
   config.analysis = options.analysis;
   config.analysis.prune = options.prune;
-  config.analysis.symbolic_budget = options.symbolic_budget;
   config.ingest.record_path = options.record_out;
   config.ingest.replay_path = options.replay;
 }

@@ -31,7 +31,6 @@ struct AbvOptions {
   models::AnalysisMode analysis = models::AnalysisMode::kOff;
   analysis::PruneMode prune = analysis::PruneMode::kOff;
   std::string prune_plan_out;
-  size_t symbolic_budget = 0;
   // Trace-log ingest (support::tracelog): --record-out serializes the
   // checked record stream; --replay checks a recorded stream instead of
   // simulating.
@@ -50,8 +49,9 @@ struct ExtraFlag {
 // line per binary-specific flag) to stderr.
 void print_usage(const char* argv0, const char* extra_usage);
 
-// Parses the shared flags (and `extra`). Malformed values and unknown flags
-// print the usage text and exit 2 — the documented CLI contract. Also emits
+// Parses the shared flags (and `extra`). Malformed values, unknown flags and
+// a value flag without its value name the bad argument, print the usage text
+// and exit 2 — the documented CLI contract. Also emits
 // the --jobs 1 batching note when --batch-size/--max-inflight were given
 // without concurrency.
 AbvOptions parse_abv_options(int argc, char** argv,
@@ -59,7 +59,7 @@ AbvOptions parse_abv_options(int argc, char** argv,
                              const char* extra_usage = "");
 
 // Copies the option groups into a run configuration: engine knobs, witness
-// depth / failure-log cap, checker backend, analysis/prune/symbolic modes
+// depth / failure-log cap, checker backend, analysis/prune modes
 // and the ingest paths. Level-dependent observability paths (trace,
 // metrics, prune plan) stay with the caller.
 void apply(const AbvOptions& options, models::RunConfig& config);

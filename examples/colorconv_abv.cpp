@@ -28,7 +28,8 @@
 //                       lockstep kernel (reports are byte-identical either
 //                       way; only speed differs).
 //   --analyze           run the static property analysis before each run and
-//                       print its diagnostics.
+//                       print its diagnostics (the symbolic pass runs only in
+//                       psl_lint --symbolic).
 //   --Werror-analysis   like --analyze, but abort (exit 1) without simulating
 //                       when the analysis reports an error.
 //   --prune MODE        analysis-guided runtime pruning (off|safe|aggressive,
@@ -39,11 +40,6 @@
 //                       derived verdict is cross-checked (PRN003).
 //   --prune-plan-out FILE  write the machine-readable prune plan JSON
 //                       (TLM-AT run).
-//   --symbolic-budget N symbolic bounded trajectory evaluation feeding the
-//                       prune planner (analysis/symbolic.h): elide-grade
-//                       never-fails proofs beyond the structural prover and
-//                       parity-gated dead-node program folds. 0 = off
-//                       (default).
 //   --record-out FILE   serialize the checked record stream of the TLM-AT run
 //                       as a versioned trace log (support::tracelog; binary,
 //                       or JSONL for .jsonl paths).

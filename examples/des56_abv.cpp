@@ -40,7 +40,8 @@
 //                        either way; only speed differs).
 //   --no-witness-demo    do not inject the failing demo property.
 //   --analyze            run the static property analysis before each
-//                        simulation and print its diagnostics.
+//                        simulation and print its diagnostics (the symbolic
+//                        pass runs only in psl_lint --symbolic).
 //   --Werror-analysis    like --analyze, but abort (exit 1) without
 //                        simulating when the analysis reports an error.
 //   --prune MODE         analysis-guided runtime pruning (off|safe|
@@ -50,11 +51,6 @@
 //                        --Werror-analysis pruned checkers still run and
 //                        every derived verdict is cross-checked (PRN003).
 //   --prune-plan-out FILE write the machine-readable prune plan JSON.
-//   --symbolic-budget N  symbolic bounded trajectory evaluation feeding the
-//                        prune planner (analysis/symbolic.h): elide-grade
-//                        never-fails proofs beyond the structural prover and
-//                        parity-gated dead-node program folds. 0 = off
-//                        (default).
 //   --record-out FILE    serialize the checked record stream of the TLM-AT
 //                        run as a versioned trace log (support::tracelog;
 //                        binary, or JSONL for .jsonl paths).

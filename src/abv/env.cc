@@ -78,8 +78,7 @@ void cross_check_decision(const analysis::PruneDecision& decision,
 
 }  // namespace
 
-bool AbvEnv::admit(const std::string& name, psl::ExprPtr& formula,
-                   psl::ExprPtr& fold) {
+bool AbvEnv::admit(const std::string& name, psl::ExprPtr& formula) {
   if (prune_plan_ == nullptr) return true;
   const analysis::PruneDecision* d = prune_plan_->find(name);
   if (d == nullptr) return true;
@@ -93,38 +92,26 @@ bool AbvEnv::admit(const std::string& name, psl::ExprPtr& formula,
     return true;
   }
   if (d->specialized != nullptr) formula = d->specialized;
-  fold = d->program_fold;
   return true;
 }
 
 checker::PropertyChecker* AbvEnv::add_checker(const psl::RtlProperty& property) {
   psl::ExprPtr formula = property.formula;
-  psl::ExprPtr fold;
-  if (!admit(property.name, formula, fold)) return nullptr;
-  return add(std::make_unique<checker::PropertyChecker>(
-                 property.name, formula, property.context.guard,
-                 checker_options_),
-             fold);
+  if (!admit(property.name, formula)) return nullptr;
+  return checkers_
+      .emplace_back(std::make_unique<checker::PropertyChecker>(
+          property.name, formula, property.context.guard, checker_options_))
+      .get();
 }
 
 checker::PropertyChecker* AbvEnv::add_checker(const psl::TlmProperty& property,
                                               psl::TimeNs clock_period_ns) {
   psl::TlmProperty effective = property;
-  psl::ExprPtr fold;
-  if (!admit(property.name, effective.formula, fold)) return nullptr;
-  return add(std::make_unique<checker::PropertyChecker>(
-                 effective, clock_period_ns, checker_options_),
-             fold);
-}
-
-checker::PropertyChecker* AbvEnv::add(
-    std::unique_ptr<checker::PropertyChecker> checker,
-    const psl::ExprPtr& fold) {
-  // Symbolic dead-node fold: swap in the slimmer program while the original
-  // formula keeps driving cost accounting (verdict-stream parity-gated).
-  if (fold != nullptr) checker->set_program_formula(fold);
-  checkers_.push_back(std::move(checker));
-  return checkers_.back().get();
+  if (!admit(property.name, effective.formula)) return nullptr;
+  return checkers_
+      .emplace_back(std::make_unique<checker::PropertyChecker>(
+          effective, clock_period_ns, checker_options_))
+      .get();
 }
 
 void AbvEnv::finish() {

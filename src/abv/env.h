@@ -98,10 +98,8 @@ class AbvEnv {
 
   // Admits `name` under the prune plan: false when the property is pruned
   // (it never spawns; report() derives its row). Otherwise `formula` becomes
-  // the plan's specialized formula, if any, and `fold` its symbolic program
-  // fold (nullptr = none).
-  bool admit(const std::string& name, psl::ExprPtr& formula,
-             psl::ExprPtr& fold);
+  // the plan's specialized formula, if any.
+  bool admit(const std::string& name, psl::ExprPtr& formula);
 
   // Admits and registers an unabstracted RTL property (its clock context
   // guard carries over); nullptr when pruned.
@@ -122,10 +120,6 @@ class AbvEnv {
   // The live checker named `name`, or nullptr (derived rows are not
   // consulted).
   const checker::PropertyChecker* live(const std::string& name) const;
-  // Registers `checker` and swaps in the prune plan's program `fold`, if any.
-  checker::PropertyChecker* add(
-      std::unique_ptr<checker::PropertyChecker> checker,
-      const psl::ExprPtr& fold);
 
   checker::CheckerOptions checker_options_;
   const analysis::PrunePlan* prune_plan_ = nullptr;

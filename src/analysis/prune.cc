@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/checks.h"
-#include "analysis/symbolic.h"
 #include "support/json.h"
 
 namespace repro::analysis {
@@ -303,10 +302,6 @@ void PrunePlan::write_json(std::ostream& os) const {
       os << ", \"specialized\": ";
       support::json::write_string(os, psl::to_string(d.specialized));
     }
-    if (d.program_fold != nullptr) {
-      os << ", \"program_fold\": ";
-      support::json::write_string(os, psl::to_string(d.program_fold));
-    }
     os << "}";
   }
   os << (first ? "" : "\n  ") << "]\n}\n";
@@ -314,8 +309,7 @@ void PrunePlan::write_json(std::ostream& os) const {
 
 PrunePlan build_prune_plan(rewrite::PassManager& pm, BoolAnalyzer& booleans,
                            const std::vector<PruneInput>& inputs,
-                           PruneMode mode,
-                           const SymbolicPruneOptions& symbolic) {
+                           PruneMode mode) {
   PrunePlan plan;
   plan.mode = mode;
   const size_t n = inputs.size();
@@ -333,10 +327,6 @@ PrunePlan build_prune_plan(rewrite::PassManager& pm, BoolAnalyzer& booleans,
   }
 
   // Pass 1: static verdicts. An inconclusive (capped) analysis never elides.
-  SymbolicEval::Options sym_opt;
-  sym_opt.clock_period_ns = symbolic.clock_period_ns;
-  sym_opt.step_budget = symbolic.step_budget;
-  sym_opt.atom_cap = booleans.atom_cap();
   std::vector<char> capped(n, 0);
   for (size_t i = 0; i < n; ++i) {
     PruneDecision& d = plan.decisions[i];
@@ -351,18 +341,6 @@ PrunePlan build_prune_plan(rewrite::PassManager& pm, BoolAnalyzer& booleans,
       d.reason = "statically contradictory: fails at every activation";
     } else if (prover.capped) {
       capped[i] = 1;
-    } else if (symbolic.enabled) {
-      // Fallback: the bounded symbolic interpreter — elide-grade only when
-      // its horizon provably covers every trajectory.
-      SymbolicEval sym(inputs[i].formula, sym_opt);
-      if (sym.status() == SymbolicEval::Status::kOk && sym.exhaustive() &&
-          sym.never_fails()) {
-        d.action = PruneAction::kElide;
-        d.static_verdict = true;
-        d.reason = "symbolically proved: no trajectory within the " +
-                   std::to_string(sym.horizon()) +
-                   "-step exhaustive horizon can fail";
-      }
     }
   }
 
@@ -489,30 +467,14 @@ PrunePlan build_prune_plan(rewrite::PassManager& pm, BoolAnalyzer& booleans,
       }
     }
   }
-
-  // Pass 4 (symbolic only): dead-node folds of what the runtime will
-  // actually check — the specialized formula when pass 3 produced one. The
-  // fold is parity-gated inside fold_dead; an unsupported or inexhaustive
-  // program simply yields no fold.
-  if (symbolic.enabled) {
-    for (size_t i = 0; i < n; ++i) {
-      PruneDecision& d = plan.decisions[i];
-      if (d.action != PruneAction::kLive) continue;
-      const psl::ExprPtr& effective =
-          d.specialized != nullptr ? d.specialized : inputs[i].formula;
-      SymbolicEval sym(effective, sym_opt);
-      d.program_fold = sym.fold_dead();
-    }
-  }
   return plan;
 }
 
 PrunePlan build_prune_plan(const std::vector<PruneInput>& inputs,
-                           PruneMode mode, size_t atom_cap,
-                           const SymbolicPruneOptions& symbolic) {
+                           PruneMode mode, size_t atom_cap) {
   rewrite::PassManager pm{rewrite::AbstractionOptions{}};
   BoolAnalyzer booleans(pm.table(), atom_cap);
-  return build_prune_plan(pm, booleans, inputs, mode, symbolic);
+  return build_prune_plan(pm, booleans, inputs, mode);
 }
 
 }  // namespace repro::analysis

@@ -68,19 +68,6 @@ struct PruneInput {
 PruneInput make_prune_input(const psl::RtlProperty& p);
 PruneInput make_prune_input(const psl::TlmProperty& p);
 
-// Symbolic bounded trajectory evidence (analysis/symbolic.h) feeding the
-// planner. When enabled, pass 1 falls back to SymbolicEval::never_fails on
-// properties the structural StaticProver cannot discharge — elide-grade only
-// when the symbolic horizon is exhaustive — and surviving live properties
-// get a parity-gated dead-node fold (PruneDecision::program_fold).
-struct SymbolicPruneOptions {
-  bool enabled = false;
-  // Event period of the target stream (scales next_e offsets).
-  psl::TimeNs clock_period_ns = 10;
-  // Horizon cap handed to SymbolicEval.
-  size_t step_budget = 16;
-};
-
 struct PruneDecision {
   std::string name;
   PruneAction action = PruneAction::kLive;
@@ -97,13 +84,6 @@ struct PruneDecision {
   // instance anchor (the rewrite-layer specialization stage); nullptr when
   // no fold applied — check the original formula unchanged.
   psl::ExprPtr specialized;
-  // kLive only, symbolic evidence: a dead-node fold of the *checked*
-  // formula (specialized when present, original otherwise), parity-gated by
-  // SymbolicEval::fold_dead so the verdict stream is identical event for
-  // event. The runtime compiles this program in place of the formula while
-  // the original body keeps driving cost accounting (node_visits), so
-  // reports stay byte-identical. nullptr = no fold.
-  psl::ExprPtr program_fold;
 };
 
 struct PrunePlan {
@@ -128,13 +108,11 @@ struct PrunePlan {
 // go through `booleans`, which must have been built over the same table.
 PrunePlan build_prune_plan(rewrite::PassManager& pm, BoolAnalyzer& booleans,
                            const std::vector<PruneInput>& inputs,
-                           PruneMode mode,
-                           const SymbolicPruneOptions& symbolic = {});
+                           PruneMode mode);
 
 // Convenience: same, through a throwaway PassManager/BoolAnalyzer.
 PrunePlan build_prune_plan(const std::vector<PruneInput>& inputs,
-                           PruneMode mode, size_t atom_cap = 20,
-                           const SymbolicPruneOptions& symbolic = {});
+                           PruneMode mode, size_t atom_cap = 20);
 
 }  // namespace repro::analysis
 

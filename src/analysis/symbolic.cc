@@ -222,33 +222,12 @@ void SymbolicEval::build_schedule() {
   }
 }
 
-void SymbolicEval::begin_eval(const checker::Program& prog,
-                              const std::vector<uint8_t>* force) {
+void SymbolicEval::begin_eval(const std::vector<uint8_t>* force) {
   memo_.clear();
-  cur_prog_ = &prog;
   cur_force_ = force;
-  cur_atom_map_.clear();
-  if (&prog != program_.get()) {
-    // Translate the candidate program's atom indices into the analyzed
-    // program's variable space (the fold only ever removes atoms).
-    cur_atom_map_.resize(prog.atoms().size(), 0);
-    for (uint32_t i = 0; i < prog.atoms().size(); ++i) {
-      bool found = false;
-      for (uint32_t k = 0; k < program_->atoms().size(); ++k) {
-        if (program_->atoms()[k] == prog.atoms()[i]) {
-          cur_atom_map_[i] = k;
-          found = true;
-          break;
-        }
-      }
-      assert(found);
-      (void)found;
-    }
-  }
 }
 
 Bdd::Ref SymbolicEval::atom_ref(uint32_t atom, size_t step) {
-  if (!cur_atom_map_.empty()) atom = cur_atom_map_[atom];
   return bdd_.var(var_of_atom_[step * program_->atoms().size() + atom]);
 }
 
@@ -265,7 +244,7 @@ SymbolicEval::SymVerdict SymbolicEval::boundary(bool complete, bool weak) {
 SymbolicEval::SymVerdict SymbolicEval::eval_event(uint32_t node, size_t step,
                                                   size_t len, bool complete) {
   assert(step < len);
-  if (cur_force_ != nullptr && cur_prog_ == program_.get()) {
+  if (cur_force_ != nullptr) {
     const uint8_t f = (*cur_force_)[node];
     if (f == 1) return {Bdd::kTrue, Bdd::kFalse};
     if (f == 2) return {Bdd::kFalse, Bdd::kTrue};
@@ -273,7 +252,7 @@ SymbolicEval::SymVerdict SymbolicEval::eval_event(uint32_t node, size_t step,
   const uint64_t key =
       ((((uint64_t{node} << 10) | step) << 10 | len) << 1) | (complete ? 1 : 0);
   if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
-  const auto& n = cur_prog_->nodes()[node];
+  const auto& n = program_->nodes()[node];
   SymVerdict r;
   switch (n.op) {
     case ExprKind::kConstTrue:
@@ -377,7 +356,7 @@ SymbolicEval::SymVerdict SymbolicEval::eval_scheduled(uint32_t node) {
     if (f == 2) return {Bdd::kFalse, Bdd::kTrue};
   }
   if (const auto it = memo_.find(node); it != memo_.end()) return it->second;
-  const auto& n = cur_prog_->nodes()[node];
+  const auto& n = program_->nodes()[node];
   SymVerdict r;
   switch (n.op) {
     case ExprKind::kConstTrue:
@@ -436,19 +415,19 @@ SymbolicEval::SymVerdict SymbolicEval::eval_scheduled(uint32_t node) {
   return r;
 }
 
-SymbolicEval::Profile SymbolicEval::profile(const checker::Program& prog,
-                                            const std::vector<uint8_t>* force) {
-  begin_eval(prog, force);
+SymbolicEval::Profile SymbolicEval::profile(
+    const std::vector<uint8_t>* force) {
+  begin_eval(force);
   Profile out;
   if (scheduled_) {
-    out.push_back(eval_scheduled(prog.root()));
+    out.push_back(eval_scheduled(program_->root()));
     return out;
   }
   // Every prefix length, complete and incomplete: equality of two profiles
   // means the runtime verdict stream is identical event for event.
   for (size_t len = 1; len <= horizon_; ++len) {
-    out.push_back(eval_event(prog.root(), 0, len, /*complete=*/true));
-    out.push_back(eval_event(prog.root(), 0, len, /*complete=*/false));
+    out.push_back(eval_event(program_->root(), 0, len, /*complete=*/true));
+    out.push_back(eval_event(program_->root(), 0, len, /*complete=*/false));
   }
   return out;
 }
@@ -464,7 +443,7 @@ bool SymbolicEval::exhaustive() {
   // Exhaustive iff every trajectory is decided on the incomplete horizon
   // prefix: informative verdicts on incomplete prefixes are
   // extension-invariant, so longer traces add nothing.
-  begin_eval(*program_, nullptr);
+  begin_eval(nullptr);
   const SymVerdict v =
       eval_event(program_->root(), 0, horizon_, /*complete=*/false);
   exhaustive_cache_ = status_ == Status::kOk && bdd_.or_(v.t, v.f) == Bdd::kTrue;
@@ -473,7 +452,7 @@ bool SymbolicEval::exhaustive() {
 
 bool SymbolicEval::never_fails() {
   if (status_ != Status::kOk) return false;
-  begin_eval(*program_, nullptr);
+  begin_eval(nullptr);
   if (scheduled_) {
     return eval_scheduled(program_->root()).f == Bdd::kFalse &&
            status_ == Status::kOk;
@@ -617,7 +596,7 @@ std::optional<WitnessTrace> SymbolicEval::concretize_scheduled(
 
 std::optional<SymbolicEval::FailWitness> SymbolicEval::fail_witness() {
   if (status_ != Status::kOk) return std::nullopt;
-  begin_eval(*program_, nullptr);
+  begin_eval(nullptr);
   const size_t max_len = scheduled_ ? 1 : horizon_;
   for (size_t len = 1; len <= max_len; ++len) {
     const Bdd::Ref fail =
@@ -643,87 +622,20 @@ std::vector<uint32_t> SymbolicEval::dead_nodes() {
   std::vector<uint32_t> dead;
   if (status_ != Status::kOk) return dead;
   if (program_->size() > 128 || program_->size() < 2) return dead;
-  const Profile base = profile(*program_, nullptr);
+  const Profile base = profile(nullptr);
   if (status_ != Status::kOk) return dead;
   for (uint32_t n = 0; n + 1 < program_->size(); ++n) {
     const auto op = program_->nodes()[n].op;
     if (op == ExprKind::kConstTrue || op == ExprKind::kConstFalse) continue;
     std::vector<uint8_t> force(program_->size(), 0);
     force[n] = 1;
-    if (profile(*program_, &force) != base) continue;
+    if (profile(&force) != base) continue;
     force[n] = 2;
-    if (profile(*program_, &force) != base) continue;
+    if (profile(&force) != base) continue;
     if (status_ != Status::kOk) break;
     dead.push_back(n);
   }
   return dead;
-}
-
-namespace {
-
-// Rebuilds `e` with subtrees replaced per `fold` (indexed by the node ids
-// Program::emit assigns: lhs, rhs, self post-order). 1 = const true,
-// 2 = const false, 0 = keep.
-psl::ExprPtr rebuild_folded(const psl::ExprPtr& e, uint32_t& next_idx,
-                            const std::vector<uint8_t>& fold) {
-  psl::ExprPtr lhs = e->lhs ? rebuild_folded(e->lhs, next_idx, fold) : nullptr;
-  psl::ExprPtr rhs = e->rhs ? rebuild_folded(e->rhs, next_idx, fold) : nullptr;
-  const uint32_t idx = next_idx++;
-  if (fold[idx] == 1) return psl::const_true();
-  if (fold[idx] == 2) return psl::const_false();
-  if (lhs == e->lhs && rhs == e->rhs) return e;
-  auto copy = std::make_shared<psl::Expr>(*e);
-  copy->lhs = std::move(lhs);
-  copy->rhs = std::move(rhs);
-  return copy;
-}
-
-}  // namespace
-
-psl::ExprPtr SymbolicEval::fold_dead(size_t* folded_nodes) {
-  if (folded_nodes != nullptr) *folded_nodes = 0;
-  if (status_ != Status::kOk || scheduled_ || !exhaustive()) return nullptr;
-  if (program_->size() > 128 || program_->size() < 2) return nullptr;
-  const Profile base = profile(*program_, nullptr);
-  if (status_ != Status::kOk) return nullptr;
-  // Greedy top-down constant folding: accept a node fold only if the full
-  // profile is preserved under *all* folds accepted so far, so interacting
-  // candidates cannot combine into a drifting program.
-  std::vector<uint8_t> fold(program_->size(), 0);
-  std::vector<bool> covered(program_->size(), false);
-  for (uint32_t n = static_cast<uint32_t>(program_->size()) - 1; n-- > 0;) {
-    if (covered[n]) continue;
-    const auto& node = program_->nodes()[n];
-    if (node.op == ExprKind::kConstTrue || node.op == ExprKind::kConstFalse) {
-      continue;
-    }
-    for (uint8_t v : {uint8_t{2}, uint8_t{1}}) {
-      fold[n] = v;
-      if (profile(*program_, &fold) == base && status_ == Status::kOk) {
-        for (uint32_t k = node.subtree_lo; k <= n; ++k) covered[k] = true;
-        break;
-      }
-      fold[n] = 0;
-    }
-  }
-  size_t count = 0;
-  for (uint32_t n = 0; n < program_->size(); ++n) {
-    // A fold of a subtree of S nodes leaves one constant node behind.
-    if (fold[n] != 0) count += n - program_->nodes()[n].subtree_lo;
-  }
-  if (count == 0) return nullptr;
-  uint32_t next_idx = 0;
-  psl::ExprPtr folded = rebuild_folded(body_, next_idx, fold);
-  assert(next_idx == program_->size());
-  // Parity gate: the folded program's own profile (evaluated over the same
-  // variable space) must match; anything else keeps the original.
-  const auto folded_prog = Program::compile(folded);
-  if (folded_prog->size() >= program_->size()) return nullptr;
-  if (profile(*folded_prog, nullptr) != base || status_ != Status::kOk) {
-    return nullptr;
-  }
-  if (folded_nodes != nullptr) *folded_nodes = count;
-  return folded;
 }
 
 std::optional<Bdd::Ref> SymbolicEval::build_boolean(const psl::ExprPtr& e) {
@@ -775,7 +687,7 @@ bool SymbolicEval::antecedent_unsat(const psl::ExprPtr& guard) {
   if (status_ != Status::kOk) return false;
   const psl::ExprPtr antecedent = checker::derive_antecedent(body_);
   if (antecedent == nullptr) return false;
-  begin_eval(*program_, nullptr);
+  begin_eval(nullptr);
   const auto a = build_boolean(antecedent);
   if (!a) return false;
   Bdd::Ref cond = *a;

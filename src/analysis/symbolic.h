@@ -34,8 +34,10 @@
 //
 // exhaustive() is the load-bearing bit: when the horizon covers every
 // trajectory (all longer traces are prefix-determined), bounded queries are
-// exact over all traces and never_fails() is elide-grade prune evidence —
-// strictly stronger than the tautology-only StaticProver. See DESIGN.md §15.
+// exact over all traces and never_fails() is elide-grade evidence (SYM001) —
+// strictly stronger than the prune planner's tautology-only StaticProver.
+// The analysis is lint-only: nothing it proves reaches a run or a prune
+// plan. See DESIGN.md §15.
 #ifndef REPRO_ANALYSIS_SYMBOLIC_H_
 #define REPRO_ANALYSIS_SYMBOLIC_H_
 
@@ -106,15 +108,6 @@ class SymbolicEval {
   // every verdict set unchanged).
   std::vector<uint32_t> dead_nodes();
 
-  // Dead-node elimination: the body with constant-foldable subtrees
-  // replaced, parity-gated — the folded program's full verdict profile
-  // (every prefix length, complete and incomplete) must equal the
-  // original's, so the runtime verdict *stream* is preserved event for
-  // event. Event-stepped exhaustive programs only; nullptr when nothing
-  // folds or the gate fails. `folded_nodes` (optional) receives how many
-  // original program nodes the fold removed.
-  psl::ExprPtr fold_dead(size_t* folded_nodes = nullptr);
-
   // The derived antecedent (checker::derive_antecedent) is unsatisfiable
   // under the activation guard on every reachable trajectory: every pass
   // would be vacuous. `guard` may be nullptr (no activation guard).
@@ -141,17 +134,14 @@ class SymbolicEval {
 
   void classify(const psl::ExprPtr& body);
   void build_schedule();
-  // Routes evaluation at the given program (usually the analyzed one; the
-  // fold parity gate evaluates a candidate) with optional forced node
-  // constants (dead-node probing; indices of the *analyzed* program).
-  void begin_eval(const checker::Program& prog,
-                  const std::vector<uint8_t>* force);
+  // Starts an evaluation of the analyzed program with optional forced node
+  // constants (dead-node probing).
+  void begin_eval(const std::vector<uint8_t>* force);
   Bdd::Ref atom_ref(uint32_t atom, size_t step);
   SymVerdict eval_event(uint32_t node, size_t step, size_t len, bool complete);
   SymVerdict eval_scheduled(uint32_t node);
   SymVerdict boundary(bool complete, bool weak);
-  Profile profile(const checker::Program& prog,
-                  const std::vector<uint8_t>* force);
+  Profile profile(const std::vector<uint8_t>* force);
   std::optional<Bdd::Ref> build_boolean(const psl::ExprPtr& e);
   std::optional<WitnessTrace> concretize_event(const Bdd::Assignment& a,
                                                size_t len);
@@ -188,12 +178,9 @@ class SymbolicEval {
   std::vector<uint32_t> gap_var_;    // [1..], ~0u when gap empty
   std::vector<Bdd::Ref> past_;       // [1..]
 
-  // Evaluation routing (begin_eval): current program, forced node
-  // constants (0 free / 1 true / 2 false) and the current program's
-  // atom-index translation into the analyzed program's variables.
-  const checker::Program* cur_prog_ = nullptr;
+  // Forced node constants of the current evaluation (0 free / 1 true /
+  // 2 false; see begin_eval).
   const std::vector<uint8_t>* cur_force_ = nullptr;
-  std::vector<uint32_t> cur_atom_map_;
   std::unordered_map<uint64_t, SymVerdict> memo_;
   // Atoms referenced by guard/antecedent queries but absent from the
   // program; each gets one stable fresh variable past the trajectory range.

@@ -86,7 +86,7 @@ PropertyChecker::PropertyChecker(std::string name, psl::ExprPtr formula,
     : PropertyChecker(std::move(name), std::move(formula), std::move(guard),
                       options, support::exponential_bounds(1, 24),
                       /*abstracted=*/false) {
-  build_program(body_);
+  build_program();
 }
 
 PropertyChecker::PropertyChecker(const psl::TlmProperty& property,
@@ -106,23 +106,18 @@ PropertyChecker::PropertyChecker(const psl::TlmProperty& property,
   // has no static bound; the pool then grows on demand.
   const LifetimeInfo info = compute_lifetime(body_, clock_period_ns);
   if (info.bounded) lifetime_ = info.instants;
-  build_program(body_);
+  build_program();
 }
 
-void PropertyChecker::build_program(const psl::ExprPtr& body) {
+void PropertyChecker::build_program() {
   // Compile once; every instance in the pool shares the immutable program.
   // Frame-free programs additionally share a lockstep layout: instances then
   // occupy lanes of 64-wide blocks and due cohorts advance in one pass.
-  if (options_.compiled) program_ = Program::compile(body);
-  batch_layout_.reset();
+  if (options_.compiled) program_ = Program::compile(body_);
   if (program_ != nullptr && options_.vectorized &&
       ProgramBatch::supported(*program_)) {
     batch_layout_ = std::make_shared<const ProgramBatch>(program_);
   }
-  // A pre-filled pool references the old program: refill it at the
-  // lifetime, so pool_capacity is unchanged.
-  blocks_.clear();
-  free_pool_.clear();
   free_pool_.reserve(lifetime_);
   for (size_t i = 0; i < lifetime_; ++i) free_pool_.push_back(make_instance());
   stats_.pool_capacity = lifetime_;
@@ -136,12 +131,6 @@ void PropertyChecker::attach(RecordPass& pass) {
   }
   activation_.reset(pass.atoms(), name_, program_.get(), body_, guard_,
                     antecedent_);
-}
-
-void PropertyChecker::set_program_formula(const psl::ExprPtr& formula) {
-  assert(pass_ == nullptr);
-  if (formula == nullptr || program_ == nullptr) return;
-  build_program(strip_always(formula));
 }
 
 void PropertyChecker::count_verdict(Verdict v, bool exercised,

@@ -186,15 +186,6 @@ class PropertyChecker {
   // interpreter backend.
   const std::shared_ptr<const Program>& program() const { return program_; }
 
-  // Replaces the compiled program with one built from `formula` (e.g. the
-  // parity-gated dead-node fold of an analysis PruneDecision). The original
-  // formula keeps driving everything observable — lifetime, pool sizing,
-  // scheduling, the derived antecedent and the node_visits cost proxy — so
-  // reports stay byte-identical; only the executed node table shrinks.
-  // Must be called before attach() and the first event; no-op on nullptr
-  // or the interpreter backend.
-  void set_program_formula(const psl::ExprPtr& formula);
-
   // --- Observability -------------------------------------------------------
 
   // Number of recent events dumped alongside each failure verdict (read
@@ -255,9 +246,9 @@ class PropertyChecker {
   void place(std::unique_ptr<Instance> instance);
   std::unique_ptr<Instance> acquire();
   std::unique_ptr<Instance> make_instance();
-  // Compiles `body` (and its lockstep layout) and refills the pool to the
-  // lifetime with instances of the new program.
-  void build_program(const psl::ExprPtr& body);
+  // Compiles body_ (and its lockstep layout) and fills the pool to the
+  // lifetime.
+  void build_program();
   void prime_cohorts(psl::TimeNs time, const Event& ev);
 
   std::string name_;

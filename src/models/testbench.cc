@@ -499,12 +499,7 @@ PrunePrep prepare_prune(const RunConfig& config,
   for (const psl::TlmProperty& q : checked.tlm) {
     inputs.push_back(analysis::make_prune_input(q));
   }
-  analysis::SymbolicPruneOptions symbolic;
-  symbolic.enabled = config.analysis.symbolic_budget > 0;
-  symbolic.clock_period_ns = config.clock_period_ns;
-  symbolic.step_budget = config.analysis.symbolic_budget;
-  prep.plan = analysis::build_prune_plan(inputs, config.analysis.prune,
-                                         /*atom_cap=*/20, symbolic);
+  prep.plan = analysis::build_prune_plan(inputs, config.analysis.prune);
   prep.active = true;
   prep.audit = config.analysis == AnalysisMode::kError;
   return prep;
@@ -691,7 +686,6 @@ bool run_analysis(const RunConfig& config, const PropertySuite& suite,
   options.abstraction.clock_period_ns = suite.clock_period_ns;
   options.abstraction.abstracted_signals = suite.abstracted_signals;
   options.abstraction.push_mode = config.abstraction.push_mode;
-  options.symbolic_budget = config.analysis.symbolic_budget;
   if (config.level == Level::kTlmAt && !config.abstraction.at_replay_unabstracted) {
     // Normal AT flow: the original formula binds at RTL, the abstracted one
     // against the transaction snapshots of the AT target.

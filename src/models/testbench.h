@@ -116,12 +116,6 @@ struct AnalysisConfig {
   // counters shrink with the live set. With mode == kError pruned properties
   // still run and every derived verdict is cross-checked (PRN003).
   analysis::PruneMode prune = analysis::PruneMode::kOff;
-  // Symbolic bounded trajectory evaluation feeding the prune planner
-  // (analysis/symbolic.h): step/instant budget, 0 = off. Adds elide-grade
-  // never-fails evidence beyond the structural StaticProver and parity-gated
-  // dead-node program folds; reports stay byte-identical (the fold swaps
-  // only the executed node table, never the cost accounting).
-  size_t symbolic_budget = 0;
 
   AnalysisConfig() = default;
   AnalysisConfig(AnalysisMode m) : mode(m) {}  // NOLINT: intentional implicit

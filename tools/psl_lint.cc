@@ -29,16 +29,18 @@
 //   --symbolic        run the symbolic bounded trajectory evaluation
 //                     (SYM001..SYM005: never-fails, dead program nodes,
 //                     temporal static vacuity, replay-verified failure
-//                     witnesses) with the default 16-step budget; also
-//                     feeds the prune plan when --prune is active
+//                     witnesses) with the default 16-step budget; lint
+//                     only, the prune plan never uses it
 //   --symbolic-budget N   same, with an explicit step/instant budget
 //   --Werror          exit non-zero on warnings too (--Werror-analysis is
 //                     accepted as an alias, matching the example binaries)
 //
 // Exit status: 0 clean, 1 diagnostics at the failing severity, 2 usage or
-// I/O error. Parse failures are reported as PSL000 error diagnostics.
+// I/O error (a usage error names the unknown option or the flag missing its
+// value). Parse failures are reported as PSL000 error diagnostics.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -117,54 +119,56 @@ int main(int argc, char** argv) {
   size_t symbolic_budget = 0;  // 0 = symbolic pass off
 
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--suite") == 0 && i + 1 < argc) {
-      suites.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--period") == 0 && i + 1 < argc) {
-      const std::optional<uint64_t> parsed = repro::parse_u64(argv[++i]);
-      if (!parsed.has_value() || *parsed == 0) {
-        std::fprintf(stderr, "bad --period value '%s' (want a positive integer)\n",
-                     argv[i]);
-        usage(argv[0]);
-        return 2;
-      }
-      period = static_cast<psl::TimeNs>(*parsed);
-    } else if (std::strcmp(argv[i], "--abstract") == 0 && i + 1 < argc) {
-      adhoc.abstraction.abstracted_signals.insert(argv[++i]);
-    } else if (std::strcmp(argv[i], "--observable") == 0 && i + 1 < argc) {
-      adhoc.rtl_observables.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--text") == 0 && i + 1 < argc) {
-      texts.emplace_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--prune") == 0 && i + 1 < argc) {
-      if (!analysis::parse_prune_mode(argv[++i], prune)) {
-        std::fprintf(stderr,
-                     "bad --prune value '%s' (want off, safe or aggressive)\n",
-                     argv[i]);
-        usage(argv[0]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--symbolic") == 0) {
-      if (symbolic_budget == 0) symbolic_budget = 16;
-    } else if (std::strcmp(argv[i], "--symbolic-budget") == 0 && i + 1 < argc) {
-      const std::optional<uint64_t> parsed = repro::parse_u64(argv[++i]);
-      if (!parsed.has_value() || *parsed == 0) {
-        std::fprintf(
-            stderr,
-            "bad --symbolic-budget value '%s' (want a positive integer)\n",
-            argv[i]);
-        usage(argv[0]);
-        return 2;
-      }
-      symbolic_budget = static_cast<size_t>(*parsed);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--Werror") == 0 ||
-               std::strcmp(argv[i], "--Werror-analysis") == 0) {
-      werror = true;
-    } else if (argv[i][0] == '-') {
+    const char* flag = argv[i];
+    auto is = [&](const char* name) { return std::strcmp(flag, name) == 0; };
+    // Names the bad argument, then the usage text; exit 2.
+    auto usage_error = [&](const std::string& message) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
       usage(argv[0]);
-      return 2;
+      std::exit(2);
+    };
+    // The argument of a value flag; a value flag given last is a usage error.
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(std::string("missing value for ") + flag);
+      return argv[++i];
+    };
+    auto positive_arg = [&]() -> uint64_t {
+      const char* text = value();
+      const std::optional<uint64_t> parsed = repro::parse_u64(text);
+      if (!parsed.has_value() || *parsed == 0) {
+        usage_error(std::string("bad ") + flag + " value '" + text +
+                    "' (want a positive integer)");
+      }
+      return *parsed;
+    };
+    if (is("--suite")) {
+      suites.emplace_back(value());
+    } else if (is("--period")) {
+      period = static_cast<psl::TimeNs>(positive_arg());
+    } else if (is("--abstract")) {
+      adhoc.abstraction.abstracted_signals.insert(value());
+    } else if (is("--observable")) {
+      adhoc.rtl_observables.emplace_back(value());
+    } else if (is("--text")) {
+      texts.emplace_back(value());
+    } else if (is("--prune")) {
+      const char* mode = value();
+      if (!analysis::parse_prune_mode(mode, prune)) {
+        usage_error(std::string("bad --prune value '") + mode +
+                    "' (want off, safe or aggressive)");
+      }
+    } else if (is("--symbolic")) {
+      if (symbolic_budget == 0) symbolic_budget = 16;
+    } else if (is("--symbolic-budget")) {
+      symbolic_budget = static_cast<size_t>(positive_arg());
+    } else if (is("--json")) {
+      json = true;
+    } else if (is("--Werror") || is("--Werror-analysis")) {
+      werror = true;
+    } else if (flag[0] == '-') {
+      usage_error(std::string("unknown option '") + flag + "'");
     } else {
-      files.emplace_back(argv[i]);
+      files.emplace_back(flag);
     }
   }
   adhoc.abstraction.clock_period_ns = period;
@@ -245,12 +249,7 @@ int main(int argc, char** argv) {
       for (const auto& p : unit.properties) {
         inputs.push_back(analysis::make_prune_input(p));
       }
-      analysis::SymbolicPruneOptions symbolic;
-      symbolic.enabled = symbolic_budget > 0;
-      symbolic.clock_period_ns = unit.options.abstraction.clock_period_ns;
-      symbolic.step_budget = symbolic_budget;
-      plan = analysis::build_prune_plan(inputs, prune, /*atom_cap=*/20,
-                                        symbolic);
+      plan = analysis::build_prune_plan(inputs, prune);
     }
     if (json) {
       if (!first_unit) std::cout << ",";
