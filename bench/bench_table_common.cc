@@ -6,6 +6,8 @@
 #include <fstream>
 #include <thread>
 
+#include "support/json.h"
+
 namespace repro::bench {
 
 size_t scaled(size_t workload) {
@@ -86,8 +88,14 @@ BenchJson::~BenchJson() {
     std::fprintf(stderr, "REPRO_BENCH_JSON: cannot write %s\n", path.c_str());
     return;
   }
+  // Provenance: the host core count and the build that produced the numbers.
   out << "{\n  \"schema_version\": 1,\n  \"bench\": \"" << name_
-      << "\",\n  \"records\": [" << records_ << (count_ ? "\n  ]" : "]")
+      << "\",\n  \"host\": {\"nproc\": "
+      << std::thread::hardware_concurrency() << ", \"build_type\": ";
+  support::json::write_string(out, REPRO_BUILD_TYPE);
+  out << ", \"compiler\": ";
+  support::json::write_string(out, REPRO_COMPILER);
+  out << "},\n  \"records\": [" << records_ << (count_ ? "\n  ]" : "]")
       << "\n}\n";
   std::printf("benchmark records written to %s\n", path.c_str());
 }

@@ -46,6 +46,8 @@ struct CheckerPoints {
 // harness run is written as one JSON file, BENCH_<name>.json, at
 // destruction. A value naming an existing directory selects the output
 // directory; any other truthy value writes to the current directory.
+// Every file carries a top-level "host" object (nproc, build_type,
+// compiler) recording where and how the numbers were produced.
 class BenchJson {
  public:
   explicit BenchJson(std::string name);
