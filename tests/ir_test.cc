@@ -4,10 +4,14 @@
 // and the parser/printer round-trip over the full property suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abv/report.h"
@@ -769,6 +773,187 @@ void expect_same_wrapper_stats(const CheckerStats& a, const CheckerStats& b,
   EXPECT_EQ(a.node_visits, b.node_visits) << what;
   EXPECT_EQ(a.pool_capacity, b.pool_capacity) << what;
   EXPECT_EQ(a.table_peak, b.table_peak) << what;
+}
+
+// ---- until / release parity over long pending runs ---------------------------
+
+// Values (a, b, c) that keep `a until b` open, and those that keep
+// `a release b` open; the compound operands below stay open on them too.
+using Abc = std::array<uint64_t, 3>;
+constexpr Abc kUntilOpen = {1, 0, 0};
+constexpr Abc kReleaseOpen = {0, 1, 0};
+
+void push_event(Trace& trace, const Abc& abc) {
+  Observation o;
+  o.time = trace.empty() ? 10 : trace.back().time + 10;
+  o.values.set("a", abc[0]);
+  o.values.set("b", abc[1]);
+  o.values.set("c", abc[2]);
+  trace.push_back(std::move(o));
+}
+
+// A trace of pending runs (64..80 events holding one operator's open values)
+// separated by a few random events, ending inside a run that keeps `open`
+// formulas pending to the last event.
+Trace pending_run_trace(Rng& rng, const Abc& open) {
+  Trace trace;
+  const size_t runs = rng.range(1, 2);
+  for (size_t r = 0; r < runs; ++r) {
+    const Abc& run = rng.chance(1, 2) ? kUntilOpen : kReleaseOpen;
+    for (size_t i = rng.range(64, 80); i > 0; --i) push_event(trace, run);
+    for (size_t i = rng.range(1, 4); i > 0; --i) {
+      push_event(trace, {rng.below(2), rng.below(2), rng.below(2)});
+    }
+  }
+  for (size_t i = rng.range(64, 72); i > 0; --i) push_event(trace, open);
+  return trace;
+}
+
+// The until/release family with boolean operands (plain and compound), their
+// negations, and the same formulas under next[k] and a conjunction. Each
+// comes with the values that keep it pending.
+std::vector<std::pair<ExprPtr, Abc>> fixpoint_family() {
+  using psl::sig;
+  struct Operands {
+    ExprPtr p, q;
+  };
+  const Operands operand_sets[] = {
+      {sig("a"), sig("b")},
+      {psl::and_(sig("a"), psl::not_(sig("c"))), psl::or_(sig("b"), sig("c"))},
+  };
+  std::vector<std::pair<ExprPtr, Abc>> out;
+  for (const Operands& o : operand_sets) {
+    const std::pair<ExprPtr, Abc> base[] = {
+        {psl::until(o.p, o.q, /*strong=*/false), kUntilOpen},
+        {psl::until(o.p, o.q, /*strong=*/true), kUntilOpen},
+        {psl::release(o.p, o.q), kReleaseOpen},
+    };
+    for (const auto& [f, open] : base) {
+      out.emplace_back(f, open);
+      out.emplace_back(psl::not_(f), open);
+      out.emplace_back(psl::next(3, f), open);
+      out.emplace_back(psl::next(1, psl::not_(f)), open);
+      out.emplace_back(psl::and_(psl::not_(sig("c")), f), open);
+      out.emplace_back(psl::and_(f, psl::next(2, f)), open);
+    }
+  }
+  return out;
+}
+
+struct Resolution {
+  Verdict verdict = Verdict::kPending;
+  size_t at = 0;     // index of the resolving event (trace size if none)
+  uint64_t steps = 0;
+  bool operator==(const Resolution& o) const {
+    return verdict == o.verdict && at == o.at && steps == o.steps;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Resolution& r) {
+  return os << "{verdict " << static_cast<int>(r.verdict) << ", at " << r.at
+            << ", steps " << r.steps << "}";
+}
+
+// Steps one instance anchored at `k` to resolution or to the end of the
+// trace, then finishes it.
+Resolution run_instance(Instance& inst, const Trace& trace, size_t k) {
+  Resolution r;
+  r.at = trace.size();
+  for (size_t j = k; j < trace.size(); ++j) {
+    ++r.steps;
+    const Verdict v = inst.step(Event{trace[j].time, &trace[j].values});
+    if (v != Verdict::kPending) {
+      r.verdict = v;
+      r.at = j;
+      return r;
+    }
+  }
+  r.verdict = inst.finish();
+  return r;
+}
+
+// reference_eval on each growing prefix, for every anchor at once: the
+// first prefix whose verdict is decided is the resolution event.
+std::vector<Resolution> reference_resolutions(const ExprPtr& f,
+                                              const Trace& trace) {
+  std::vector<Resolution> out(trace.size());
+  Trace prefix;
+  for (size_t j = 0; j < trace.size(); ++j) {
+    prefix.push_back(trace[j]);
+    out[j].at = trace.size();
+    for (size_t k = 0; k <= j; ++k) {
+      if (out[k].at != trace.size()) continue;
+      ++out[k].steps;
+      const Verdict v = reference_eval(f, prefix, k, /*complete=*/false);
+      if (v != Verdict::kPending) {
+        out[k].verdict = v;
+        out[k].at = j;
+      }
+    }
+  }
+  for (size_t k = 0; k < trace.size(); ++k) {
+    if (out[k].at == trace.size()) {
+      out[k].verdict = reference_eval(f, trace, k, /*complete=*/true);
+    }
+  }
+  return out;
+}
+
+// Compiled program, interpreter and reference_eval agree on the verdict,
+// the resolution event and the step count of every anchor, over pending
+// runs of 64+ events and with instances still open when the trace ends. A
+// checker over `always f` on both backends adds up the same session counts.
+TEST(IrFixpointParity, LongPendingRunsAgreeOnEveryBackend) {
+  const auto family = fixpoint_family();
+  for (size_t fi = 0; fi < family.size(); ++fi) {
+    const auto& [f, open] = family[fi];
+    const auto program = Program::compile(f);
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Rng rng(fi * 7919 + seed * 104729 + 1);
+      const Trace trace = pending_run_trace(rng, open);
+      SCOPED_TRACE(psl::to_string(f) + " seed " + std::to_string(seed));
+      const std::vector<Resolution> want = reference_resolutions(f, trace);
+      CheckerStats sum;
+      size_t open_at_end = 0;
+      uint64_t longest = 0;
+      for (size_t k = 0; k < trace.size(); ++k) {
+        Instance interpreted(f);
+        Instance compiled(program);
+        const Resolution ri = run_instance(interpreted, trace, k);
+        const Resolution rc = run_instance(compiled, trace, k);
+        ASSERT_EQ(rc, want[k]) << "compiled, anchor " << k;
+        ASSERT_EQ(ri, want[k]) << "interpreter, anchor " << k;
+        if (rc.at == trace.size()) ++open_at_end;
+        longest = std::max(longest, rc.steps);
+        sum.steps += rc.steps;
+        if (rc.at == k) ++sum.trivial;
+        // Sessions open at the end count by their finish() verdict.
+        if (rc.verdict == Verdict::kTrue) {
+          ++sum.holds;
+        } else if (rc.verdict == Verdict::kFalse) {
+          ++sum.failures;
+        } else {
+          ++sum.uncompleted;
+        }
+      }
+      EXPECT_GE(open_at_end, 1u);
+      EXPECT_GE(longest, 64u);
+      CheckerOptions interp_opts;
+      interp_opts.compiled = false;
+      for (const CheckerOptions& opts : {interp_opts, CheckerOptions{}}) {
+        PropertyChecker checker("p", psl::always(f), nullptr, opts);
+        for (const Observation& o : trace) checker.on_event(o.time, o.values);
+        checker.finish();
+        const CheckerStats& got = checker.stats();
+        EXPECT_EQ(got.activations, trace.size());
+        EXPECT_EQ(got.steps, sum.steps);
+        EXPECT_EQ(got.trivial, sum.trivial);
+        EXPECT_EQ(got.uncompleted, sum.uncompleted);
+        EXPECT_EQ(got.holds, sum.holds);
+        EXPECT_EQ(got.failures, sum.failures);
+      }
+    }
+  }
 }
 
 // Slot-bound atoms are a pure speed-up: unabstracted and abstracted
