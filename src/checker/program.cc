@@ -494,14 +494,26 @@ class Evaluator {
 
   uint8_t fixpoint_step(uint32_t n, const Program::ProgNode& node, Frame& f,
                         uint32_t base) {
+    const bool pure_p = prog_.nodes()[node.lhs].pure_bool;
+    const bool pure_q = prog_.nodes()[node.rhs].pure_bool;
+    // Both operands boolean: every earlier position left the node pending,
+    // so it held (p, !q) for until and (!p, q) for release and is neutral in
+    // the fold. The newest position alone decides, and nothing is kept: the
+    // empty kid list folds to the weak/strong default at finish().
+    if (pure_p && pure_q) {
+      if (node.op == Program::Opcode::kUntil) {
+        if (eval_bool(node.rhs)) return kVTrue;
+        return eval_bool(node.lhs) ? kVPend : kVFalse;
+      }
+      if (!eval_bool(node.rhs)) return kVFalse;
+      return eval_bool(node.lhs) ? kVTrue : kVPend;
+    }
     const uint32_t ord = prog_.dyn_before(n);
     std::vector<Frame>& kids = f.kids[ord - prog_.dyn_before(base)];
     const uint32_t p_lo = prog_.nodes()[node.lhs].subtree_lo;
     const uint32_t q_lo = prog_.nodes()[node.rhs].subtree_lo;
-    // Purely boolean operands resolve at their anchor event: their position
+    // A purely boolean operand resolves at its anchor event: its position
     // verdicts need no frame state at all, just the byte in Frame::verdict.
-    const bool pure_p = prog_.nodes()[node.lhs].pure_bool;
-    const bool pure_q = prog_.nodes()[node.rhs].pure_bool;
     for (size_t i = 0; i < kids.size(); i += 2) {
       Frame& pf = kids[i];
       Frame& qf = kids[i + 1];

@@ -1,5 +1,6 @@
 #include "sim/kernel.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -7,7 +8,8 @@ namespace repro::sim {
 
 void Kernel::schedule_at(Time t, std::function<void()> fn) {
   assert(t >= now_ || timed_.empty());  // allow pre-run setup at t < first run
-  timed_.emplace(t, std::move(fn));
+  timed_.push_back(Timed{t, next_seq_++, std::move(fn)});
+  std::push_heap(timed_.begin(), timed_.end(), later);
 }
 
 void Kernel::schedule_delta(std::function<void()> fn) {
@@ -19,31 +21,35 @@ void Kernel::request_update(SignalBase* signal) {
 }
 
 void Kernel::execute_timestamp() {
-  // Move all events at now_ into the runnable set.
-  auto range = timed_.equal_range(now_);
-  for (auto it = range.first; it != range.second; ++it) {
-    runnable_.push_back(std::move(it->second));
+  // Move all events at now_ into the runnable set, in insertion order.
+  while (!timed_.empty() && timed_.front().time == now_) {
+    std::pop_heap(timed_.begin(), timed_.end(), later);
+    runnable_.push_back(std::move(timed_.back().fn));
+    timed_.pop_back();
   }
-  timed_.erase(range.first, range.second);
 
   while (!runnable_.empty()) {
     ++delta_cycles_;
     // Evaluate phase. Callbacks may write signals (queued for the update
-    // phase) and schedule further deltas.
-    std::vector<std::function<void()>> batch;
-    batch.swap(runnable_);
-    for (auto& fn : batch) {
+    // phase) and schedule further deltas. A stop drops the rest of the batch;
+    // pending writes and next-delta callbacks stay queued.
+    batch_.swap(runnable_);
+    for (auto& fn : batch_) {
       ++events_executed_;
       fn();
-      if (stop_requested_) return;
+      if (stop_requested_) {
+        batch_.clear();
+        return;
+      }
     }
+    batch_.clear();
     // Update phase: commit signal writes; changed signals wake their
     // sensitive callbacks in the next delta.
-    std::vector<SignalBase*> updates;
-    updates.swap(pending_updates_);
-    for (SignalBase* signal : updates) {
+    updates_.swap(pending_updates_);
+    for (SignalBase* signal : updates_) {
       if (signal->apply_update()) signal->notify_changed();
     }
+    updates_.clear();
     runnable_.swap(next_delta_);
   }
 }
@@ -56,7 +62,7 @@ void Kernel::run(Time until) {
 
 bool Kernel::step(Time until) {
   if (stop_requested_ || timed_.empty()) return false;
-  const Time next = timed_.begin()->first;
+  const Time next = timed_.front().time;
   if (next > until) return false;
   now_ = next;
   execute_timestamp();
@@ -66,7 +72,7 @@ bool Kernel::step(Time until) {
 void Kernel::run_all() {
   stop_requested_ = false;
   while (!stop_requested_ && !timed_.empty()) {
-    now_ = timed_.begin()->first;
+    now_ = timed_.front().time;
     execute_timestamp();
   }
 }

@@ -7,12 +7,15 @@
 // sensitive callbacks in the next delta). This gives exactly the two
 // observables the paper's methodology needs: cycle-accurate signal events at
 // RTL and wall-clock transaction instants at TLM.
+//
+// Steady-state stepping allocates nothing: timed events live in a binary
+// min-heap over a vector, and the delta-cycle phases run over member vectors
+// that keep their capacity from one delta to the next.
 #ifndef REPRO_SIM_KERNEL_H_
 #define REPRO_SIM_KERNEL_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,21 +69,39 @@ class Kernel {
   uint64_t delta_cycles() const { return delta_cycles_; }
 
  private:
+  // A timed event; the heap orders on (time, seq), so events at one
+  // timestamp run in insertion order.
+  struct Timed {
+    Time time;
+    uint64_t seq;
+    std::function<void()> fn;
+  };
+  // Heap comparator: true when `a` runs after `b`.
+  static bool later(const Timed& a, const Timed& b) {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
+
   void execute_timestamp();
 
   Time now_ = 0;
   bool stop_requested_ = false;
   uint64_t events_executed_ = 0;
   uint64_t delta_cycles_ = 0;
+  uint64_t next_seq_ = 0;
 
-  // Timed events keyed by time; FIFO within a timestamp.
-  std::multimap<Time, std::function<void()>> timed_;
+  // Timed events, a binary min-heap on (time, seq).
+  std::vector<Timed> timed_;
   // Callbacks runnable in the current delta cycle.
   std::vector<std::function<void()>> runnable_;
   // Callbacks scheduled for the next delta cycle of this timestamp.
   std::vector<std::function<void()>> next_delta_;
   // Signals with pending writes awaiting the update phase.
   std::vector<SignalBase*> pending_updates_;
+  // The batch being evaluated and the signals being committed: scratch that
+  // swaps with runnable_ / pending_updates_ each delta and keeps its
+  // capacity.
+  std::vector<std::function<void()>> batch_;
+  std::vector<SignalBase*> updates_;
 };
 
 // Base class for signals: the kernel drives the update phase through it.
