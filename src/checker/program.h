@@ -15,7 +15,10 @@
 // eventually! spawn a child per event) keep per-activation sub-frames, each
 // a flat slot vector over the operand's contiguous subtree range; retired
 // sub-frames are recycled through per-shape free lists, so steady-state
-// stepping allocates nothing.
+// stepping allocates nothing. An until/release whose operands are both
+// purely boolean spawns no frames at all: every earlier position left it
+// pending and is neutral in the fixpoint, so the newest event alone decides
+// it, and finish() folds its empty position list to the weak/strong default.
 //
 // Semantics are identical, event for event, to the detail::Node interpreter;
 // the ir test suite proves parity against both the interpreter and
