@@ -88,16 +88,15 @@ void add_coverage_record(bench::BenchJson& json, const char* label,
 }
 
 std::vector<double> row(models::RunConfig config, size_t suite_size,
-                        size_t jobs, bench::BenchJson& json,
-                        const char* suffix = "") {
+                        size_t jobs, bench::BenchJson& json) {
   config.engine.jobs = jobs;
   std::vector<double> secs;
   for (size_t n = 0; n <= suite_size; ++n) {
     config.checkers = n;
     const bench::Measurement m = bench::measure(config, /*repeats=*/2);
     char label[64];
-    std::snprintf(label, sizeof label, "%s x%zu %zuC%s",
-                  models::to_string(config.level), jobs, n, suffix);
+    std::snprintf(label, sizeof label, "%s x%zu %zuC",
+                  models::to_string(config.level), jobs, n);
     json.add(label, config, m);
     add_coverage_record(json, label, config, m);
     secs.push_back(m.seconds);
@@ -131,24 +130,13 @@ void sweep(Design design, size_t workload, size_t suite_size) {
     const std::vector<double> serial = row(config, suite_size, /*jobs=*/1, json);
     print_row(models::to_string(level), serial);
     if (level == Level::kRtl) continue;  // the engine only runs at TLM
-    // Same serial sweep with the lockstep kernel disabled: the scaling
-    // tables show the vectorized and scalar compiled backends side by side
-    // (verdict-identical; only the per-checker slope may move).
-    models::RunConfig scalar_config = config;
-    scalar_config.engine.vectorized = false;
-    const std::vector<double> novec =
-        row(scalar_config, suite_size, /*jobs=*/1, json, " novec");
-    char label[32];
-    std::snprintf(label, sizeof label, "%s -vec", models::to_string(level));
-    print_row(label, novec);
     const std::vector<double> sharded = row(config, suite_size, jobs, json);
+    char label[32];
     std::snprintf(label, sizeof label, "%s x%zu", models::to_string(level),
                   jobs);
     print_row(label, sharded);
-    std::printf("%-12s full-suite serial/sharded = %.2fx, "
-                "novec/vectorized = %.2fx\n",
-                "", serial.back() / sharded.back(),
-                novec.back() / serial.back());
+    std::printf("%-12s full-suite serial/sharded = %.2fx\n", "",
+                serial.back() / sharded.back());
   }
 }
 

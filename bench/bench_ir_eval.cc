@@ -1,18 +1,11 @@
-// Micro-benchmark of the two checker-instance backends (Sec. IV): the
-// tree-walking interpreter (detail::Node virtual dispatch) vs the compiled
-// flat program (checker/program.h), stepped over identical synthetic event
-// streams for every abstracted DES56 property.
+// Micro-benchmark of the checker runtime's side costs over the abstracted
+// DES56 suite (Sec. IV), on a synthetic TLM-AT-style event stream.
 //
-// Each backend drives one Instance through the stream with reset-on-resolve
-// (the wrapper's recycling pattern), so the numbers measure steady-state
-// step throughput including verdict resolution and reuse. Also reports the
-// hash-consing hit rate of the expression intern table over the suite.
-//
-// The all-checkers columns step a full 64-instance battery per property —
-// the wrapper's many-instances-one-formula shape — once through 64 scalar
-// compiled instances and once through the 64-wide lockstep kernel
-// (checker/batch.h), with reset-on-resolve recycling on both sides and a
-// resolution-count parity check between them.
+// The telemetry section drives a full PropertyChecker per property with a
+// live coverage row attached and detached (interleaved best-of-reps) and
+// gates the geometric-mean throughput ratio at >= 0.95. It also reports the
+// vacuity split each property shows on the stream and the hash-consing hit
+// rate of the expression intern table over the suite.
 //
 // The analysis-cost section times the symbolic bounded trajectory
 // evaluation (analysis/symbolic.h) over both shipped suites at both levels
@@ -27,16 +20,12 @@
 #include <cstdio>
 #include <cstring>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/symbolic.h"
 #include "bench_table_common.h"
-#include "checker/batch.h"
 #include "checker/checker.h"
-#include "checker/instance.h"
-#include "checker/program.h"
 #include "checker/trace.h"
 #include "models/properties.h"
 #include "psl/intern.h"
@@ -50,7 +39,7 @@ namespace {
 
 // Synthetic TLM-AT-style stream: transaction-end events at irregular
 // instants, handshake-shaped signals so next/until obligations both resolve
-// and survive. Deterministic (fixed seed) so both backends see the same
+// and survive. Deterministic (fixed seed), so every run sees the same
 // trace.
 checker::Trace make_trace(size_t length) {
   Rng rng(0x1DEA11EDULL);
@@ -73,118 +62,6 @@ checker::Trace make_trace(size_t length) {
     trace.push_back(std::move(ob));
   }
   return trace;
-}
-
-struct Throughput {
-  double steps_per_second = 0;
-  uint64_t resolutions = 0;  // verdicts reached (instance then reset)
-};
-
-// One timed pass of `instance` over the trace, resetting on every resolved
-// verdict (the wrapper's recycling pattern).
-Throughput time_pass(checker::Instance& instance, const checker::Trace& trace,
-                     size_t iters) {
-  instance.reset();
-  Throughput t;
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t it = 0; it < iters; ++it) {
-    for (const checker::Observation& ob : trace) {
-      const checker::Event ev{ob.time, &ob.values};
-      if (instance.step(ev) != checker::Verdict::kPending) {
-        ++t.resolutions;
-        instance.reset();
-      }
-    }
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  t.steps_per_second =
-      static_cast<double>(iters * trace.size()) / elapsed.count();
-  return t;
-}
-
-// Measures both backends with interleaved repetitions (A B A B ...) so that
-// machine-load drift hits both equally; keeps the best pass of each.
-void run_pair(checker::Instance& interp, checker::Instance& compiled,
-              const checker::Trace& trace, size_t iters, Throughput& ti,
-              Throughput& tc) {
-  time_pass(interp, trace, iters);    // warm-up
-  time_pass(compiled, trace, iters);  // warm-up
-  for (int rep = 0; rep < 5; ++rep) {
-    const Throughput a = time_pass(interp, trace, iters);
-    const Throughput b = time_pass(compiled, trace, iters);
-    if (a.steps_per_second > ti.steps_per_second) ti = a;
-    if (b.steps_per_second > tc.steps_per_second) tc = b;
-  }
-}
-
-// ---- All-checkers battery: 64 instances of one property ------------------------
-
-constexpr uint32_t kWidth = checker::BatchState::kLanes;
-
-// 64 scalar compiled instances stepped one at a time per event.
-Throughput time_scalar_battery(
-    std::vector<std::unique_ptr<checker::Instance>>& battery,
-    const checker::Trace& trace, size_t iters) {
-  for (auto& instance : battery) instance->reset();
-  Throughput t;
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t it = 0; it < iters; ++it) {
-    for (const checker::Observation& ob : trace) {
-      const checker::Event ev{ob.time, &ob.values};
-      for (auto& instance : battery) {
-        if (instance->step(ev) != checker::Verdict::kPending) {
-          ++t.resolutions;
-          instance->reset();
-        }
-      }
-    }
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  t.steps_per_second =
-      static_cast<double>(iters * trace.size() * battery.size()) /
-      elapsed.count();
-  return t;
-}
-
-// The same 64 instances as lockstep lanes: one prime() per event advances
-// the whole word, then each lane's verdict is read off (and recycled).
-Throughput time_vector_battery(checker::BatchState& block,
-                               const checker::Trace& trace, size_t iters) {
-  for (uint32_t lane = 0; lane < kWidth; ++lane) block.reset_lane(lane);
-  Throughput t;
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t it = 0; it < iters; ++it) {
-    for (const checker::Observation& ob : trace) {
-      const checker::Event ev{ob.time, &ob.values};
-      block.prime(ev, ~uint64_t{0});
-      for (uint32_t lane = 0; lane < kWidth; ++lane) {
-        if (block.step_lane(ev, lane) != checker::Verdict::kPending) {
-          ++t.resolutions;
-          block.reset_lane(lane);
-        }
-      }
-    }
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  t.steps_per_second =
-      static_cast<double>(iters * trace.size() * kWidth) / elapsed.count();
-  return t;
-}
-
-void run_battery_pair(std::vector<std::unique_ptr<checker::Instance>>& battery,
-                      checker::BatchState& block, const checker::Trace& trace,
-                      size_t iters, Throughput& ts, Throughput& tv) {
-  time_scalar_battery(battery, trace, iters);  // warm-up
-  time_vector_battery(block, trace, iters);    // warm-up
-  for (int rep = 0; rep < 5; ++rep) {
-    const Throughput a = time_scalar_battery(battery, trace, iters);
-    const Throughput b = time_vector_battery(block, trace, iters);
-    if (a.steps_per_second > ts.steps_per_second) ts = a;
-    if (b.steps_per_second > tv.steps_per_second) tv = b;
-  }
 }
 
 // ---- Telemetry overhead: coverage row attached vs detached ---------------
@@ -332,7 +209,6 @@ int main(int argc, char** argv) {
     return run_symbolic_cost_section();
   }
   const size_t kTraceLen = bench::scaled(2048);
-  const size_t kIters = 64;
   const checker::Trace trace = make_trace(kTraceLen);
 
   const models::PropertySuite suite = models::des56_suite();
@@ -343,133 +219,17 @@ int main(int argc, char** argv) {
       rewrite::abstract_suite(suite.properties, options);
 
   bench::BenchJson json("ir_eval");
-  models::RunConfig meta;  // bookkeeping for the JSON records
-  meta.design = models::Design::kDes56;
-  meta.level = models::Level::kTlmAt;
-  meta.workload = kTraceLen * kIters;
-  meta.checkers = 1;
-
-  // The battery columns amortise one prime() over 64 lanes; fewer passes
-  // keep the 64x-larger step count per pass in budget.
-  const size_t kBatteryIters = kIters / 8;
-
-  std::printf("=== Instance step throughput: interpreter vs compiled ===\n");
-  std::printf("%zu-event stream x %zu passes per property; all-checkers "
-              "columns step %u instances x %zu passes\n\n",
-              kTraceLen, kIters, kWidth, kBatteryIters);
-  std::printf("%-6s %14s %14s %9s %14s %14s %9s %8s\n", "prop",
-              "interp steps/s", "compiled st/s", "speedup", "scalar64 st/s",
-              "vector64 st/s", "vspeedup", "program");
-
-  double log_speedup_sum = 0;
-  size_t measured = 0;
-  double log_vector_sum = 0;
-  size_t vector_measured = 0;
-  for (size_t i = 0; i < suite.properties.size(); ++i) {
-    if (outcomes[i].deleted()) continue;
-    const psl::ExprPtr& formula = outcomes[i].property->formula;
-    const std::string& name = suite.properties[i].name;
-
-    checker::Instance interp(formula);
-    const auto program = checker::Program::compile(formula);
-    checker::Instance compiled(program);
-    Throughput ti, tc;
-    run_pair(interp, compiled, trace, kIters, ti, tc);
-
-    if (ti.resolutions != tc.resolutions) {
-      std::printf("%-6s BACKEND MISMATCH: %llu vs %llu resolutions\n",
-                  name.c_str(),
-                  static_cast<unsigned long long>(ti.resolutions),
-                  static_cast<unsigned long long>(tc.resolutions));
-      return 1;
-    }
-
-    const double speedup = tc.steps_per_second / ti.steps_per_second;
-    log_speedup_sum += std::log(speedup);
-    ++measured;
-
-    // All-checkers battery over the wrapper's program: the body below the
-    // top-level always chain, exactly what instances of this property run.
-    psl::ExprPtr body = formula;
-    while (body->kind == psl::ExprKind::kAlways) body = body->lhs;
-    const auto body_program = checker::Program::compile(body);
-    Throughput ts, tv;
-    const bool vectorizable = checker::ProgramBatch::supported(*body_program);
-    if (vectorizable) {
-      std::vector<std::unique_ptr<checker::Instance>> battery;
-      for (uint32_t lane = 0; lane < kWidth; ++lane) {
-        battery.push_back(std::make_unique<checker::Instance>(body_program));
-      }
-      auto layout = std::make_shared<const checker::ProgramBatch>(body_program);
-      checker::BatchState block(layout);
-      for (uint32_t lane = 0; lane < kWidth; ++lane) block.allocate_lane();
-      run_battery_pair(battery, block, trace, kBatteryIters, ts, tv);
-      if (ts.resolutions != tv.resolutions) {
-        std::printf("%-6s VECTOR MISMATCH: %llu vs %llu resolutions\n",
-                    name.c_str(),
-                    static_cast<unsigned long long>(ts.resolutions),
-                    static_cast<unsigned long long>(tv.resolutions));
-        return 1;
-      }
-      log_vector_sum += std::log(tv.steps_per_second / ts.steps_per_second);
-      ++vector_measured;
-      std::printf("%-6s %14.3e %14.3e %8.2fx %14.3e %14.3e %8.2fx %5zu op\n",
-                  name.c_str(), ti.steps_per_second, tc.steps_per_second,
-                  speedup, ts.steps_per_second, tv.steps_per_second,
-                  tv.steps_per_second / ts.steps_per_second, program->size());
-    } else {
-      std::printf("%-6s %14.3e %14.3e %8.2fx %14s %14s %9s %5zu op\n",
-                  name.c_str(), ti.steps_per_second, tc.steps_per_second,
-                  speedup, "-", "-", "-", program->size());
-    }
-
-    const double steps = static_cast<double>(kTraceLen * kIters);
-    models::RunResult r;
-    r.transactions = kTraceLen * kIters;
-    r.functional_ok = true;
-    r.properties_ok = true;
-    r.wall_seconds = steps / ti.steps_per_second;
-    json.add(name + " interp", meta, r.wall_seconds, r);
-    r.wall_seconds = steps / tc.steps_per_second;
-    json.add(name + " compiled", meta, r.wall_seconds, r);
-    if (vectorizable) {
-      models::RunConfig meta64 = meta;  // the 64-instance battery records
-      meta64.checkers = kWidth;
-      const double battery_steps =
-          static_cast<double>(kTraceLen * kBatteryIters * kWidth);
-      models::RunResult rb;
-      rb.transactions = kTraceLen * kBatteryIters;
-      rb.functional_ok = true;
-      rb.properties_ok = true;
-      meta64.engine.vectorized = false;
-      rb.wall_seconds = battery_steps / ts.steps_per_second;
-      json.add(name + " scalar64", meta64, rb.wall_seconds, rb);
-      meta64.engine.vectorized = true;
-      rb.wall_seconds = battery_steps / tv.steps_per_second;
-      json.add(name + " vector64", meta64, rb.wall_seconds, rb);
-    }
-  }
-
-  const double geomean =
-      measured == 0 ? 0 : std::exp(log_speedup_sum / measured);
-  std::printf("\ngeometric-mean compiled speedup: %.2fx over %zu properties\n",
-              geomean, measured);
-  const double vector_geomean =
-      vector_measured == 0 ? 0 : std::exp(log_vector_sum / vector_measured);
-  std::printf("geometric-mean lockstep speedup over the scalar battery: "
-              "%.2fx over %zu properties\n",
-              vector_geomean, vector_measured);
 
   // Telemetry overhead: the full PropertyChecker path with a live coverage
   // row attached (relaxed mirror stores at sync points, latency
   // histogram, vacuity split) vs the same checker with no row. Interleaved
   // best-of-reps per side; the acceptance gate below requires the geomean
   // throughput ratio with/without to stay >= 0.95 (<= ~5% overhead).
-  std::printf("\n=== Telemetry overhead: coverage row attached vs off ===\n");
+  std::printf("=== Telemetry overhead: coverage row attached vs off ===\n");
   std::printf("%-6s %14s %14s %9s %8s %8s\n", "prop", "off steps/s",
               "cov steps/s", "overhead", "vacuous", "rate");
   support::CoverageTable cov_table;
-  const size_t kTelemetryPasses = kIters / 8;
+  const size_t kTelemetryPasses = 8;
   double log_telemetry_sum = 0;
   size_t telemetry_measured = 0;
   for (size_t i = 0; i < suite.properties.size(); ++i) {
@@ -554,13 +314,9 @@ int main(int argc, char** argv) {
 
   const int symbolic_rc = run_symbolic_cost_section();
 
-  // Gate: the compiled backend must not regress below the interpreter, the
-  // lockstep kernel must hold its >= 3x headline on the battery columns,
-  // the coverage telemetry must cost at most ~5% geomean throughput, and
-  // the symbolic analysis must stay inside its wall-clock budget.
+  // Gate: the coverage telemetry must cost at most ~5% geomean throughput,
+  // and the symbolic analysis must stay inside its wall-clock budget.
   if (symbolic_rc != 0) return symbolic_rc;
-  if (geomean < 1.0) return 1;
-  if (vector_measured > 0 && vector_geomean < 3.0) return 1;
   if (telemetry_measured > 0 && telemetry_geomean < 0.95) return 1;
   return 0;
 }
