@@ -16,7 +16,7 @@ void print_usage(const char* argv0, const char* extra_usage) {
                "          [--witness-depth N] [--failure-log-cap N]\n"
                "          [--trace-out FILE] [--report-out FILE]\n"
                "          [--metrics-out FILE] [--metrics-interval N]\n"
-               "          [--dump-passes] [--interpreter] [--no-vectorize]\n"
+               "          [--dump-passes]\n"
                "          %s[--analyze] [--Werror-analysis]\n"
                "          [--prune off|safe|aggressive] [--prune-plan-out FILE]\n"
                "          [--record-out FILE] [--replay FILE]\n",
@@ -78,10 +78,6 @@ AbvOptions parse_abv_options(int argc, char** argv,
       size_arg(o.metrics_interval);
     } else if (is("--dump-passes")) {
       o.dump_passes = true;
-    } else if (is("--interpreter")) {
-      o.interpreter = true;
-    } else if (is("--no-vectorize")) {
-      o.vectorized = false;
     } else if (is("--analyze")) {
       if (o.analysis == models::AnalysisMode::kOff) {
         o.analysis = models::AnalysisMode::kOn;
@@ -126,11 +122,9 @@ AbvOptions parse_abv_options(int argc, char** argv,
 void apply(const AbvOptions& options, models::RunConfig& config) {
   config.engine = {.jobs = options.jobs,
                    .batch_size = options.batch_size,
-                   .max_inflight_batches = options.max_inflight,
-                   .vectorized = options.vectorized};
+                   .max_inflight_batches = options.max_inflight};
   config.observability.witness_depth = options.witness_depth;
   config.observability.failure_log_cap = options.failure_log_cap;
-  config.compiled_checkers = !options.interpreter;
   config.analysis = options.analysis;
   config.analysis.prune = options.prune;
   config.ingest.record_path = options.record_out;

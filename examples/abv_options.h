@@ -26,8 +26,6 @@ struct AbvOptions {
   std::string metrics_out;
   size_t metrics_interval = 256;
   bool dump_passes = false;
-  bool interpreter = false;
-  bool vectorized = true;
   models::AnalysisMode analysis = models::AnalysisMode::kOff;
   analysis::PruneMode prune = analysis::PruneMode::kOff;
   std::string prune_plan_out;
@@ -59,8 +57,7 @@ AbvOptions parse_abv_options(int argc, char** argv,
                              const char* extra_usage = "");
 
 // Copies the option groups into a run configuration: engine knobs, witness
-// depth / failure-log cap, checker backend, analysis/prune modes
-// and the ingest paths. Level-dependent observability paths (trace,
+// depth / failure-log cap, analysis/prune modes and the ingest paths. Level-dependent observability paths (trace,
 // metrics, prune plan) stay with the caller.
 void apply(const AbvOptions& options, models::RunConfig& config);
 

@@ -13,8 +13,7 @@
 //                      [--witness-depth N] [--failure-log-cap N]
 //                      [--trace-out FILE] [--report-out FILE]
 //                      [--metrics-out FILE] [--metrics-interval N]
-//                      [--dump-passes] [--interpreter] [--no-vectorize]
-//                      [--record-out FILE] [--replay FILE]
+//                      [--dump-passes] [--record-out FILE] [--replay FILE]
 //   --metrics-out FILE  stream JSONL metrics/coverage snapshots of the TLM-AT
 //                       run (validate with tools/validate_metrics.py).
 //   --metrics-interval N
@@ -22,11 +21,6 @@
 //                       256; 0 = only the final line).
 //   --dump-passes       print every rewrite-pipeline pass per property before
 //                       the runs.
-//   --interpreter       evaluate checkers with the tree-walking interpreter
-//                       instead of the compiled flat programs.
-//   --no-vectorize      keep the compiled backend scalar: disable the 64-wide
-//                       lockstep kernel (reports are byte-identical either
-//                       way; only speed differs).
 //   --analyze           run the static property analysis before each run and
 //                       print its diagnostics (the symbolic pass runs only in
 //                       psl_lint --symbolic).

@@ -13,8 +13,8 @@
 //                  [--witness-depth N] [--failure-log-cap N]
 //                  [--trace-out FILE] [--report-out FILE]
 //                  [--metrics-out FILE] [--metrics-interval N]
-//                  [--dump-passes] [--interpreter] [--no-vectorize]
-//                  [--no-witness-demo] [--record-out FILE] [--replay FILE]
+//                  [--dump-passes] [--no-witness-demo]
+//                  [--record-out FILE] [--replay FILE]
 //   --jobs N             shard the TLM checker suite across N worker threads
 //                        (default 1 = serial; results are identical for any N).
 //   --batch-size N       records per sealed arena batch (default 64; ignored
@@ -33,11 +33,6 @@
 //   --metrics-interval N records between two mid-run snapshot lines
 //                        (default 256; 0 = only the final line).
 //   --dump-passes        print every rewrite-pipeline pass per property.
-//   --interpreter        evaluate checkers with the tree-walking interpreter
-//                        instead of the compiled flat programs.
-//   --no-vectorize       keep the compiled backend scalar: disable the
-//                        64-wide lockstep kernel (reports are byte-identical
-//                        either way; only speed differs).
 //   --no-witness-demo    do not inject the failing demo property.
 //   --analyze            run the static property analysis before each
 //                        simulation and print its diagnostics (the symbolic

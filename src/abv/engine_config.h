@@ -25,10 +25,9 @@ struct EngineConfig {
   // while the shards drain batch k. Ignored at jobs == 1; values < 1 are
   // clamped to 1.
   size_t max_inflight_batches = 2;
-  // Evaluate frame-free compiled checker programs through the 64-wide
-  // lockstep kernel (checker/batch.h). Reports are byte-identical either
-  // way; only throughput differs. Kept last so existing designated
-  // initializers stay valid.
+  // Ignored: checkers pick the lockstep lanes from their program
+  // (checker/batch.h). Kept only because abvbench/abv_e2e.cc still reads it;
+  // the abvbench insulation PR deletes it (ROADMAP.md).
   bool vectorized = true;
 };
 

@@ -51,12 +51,13 @@ EvalEngine::EvalEngine(Options options)
     m_inflight_peak_ = &options_.metrics->gauge("engine.inflight_peak");
     // Arena and lockstep accounting are published at finish(); registering
     // the names up front keeps the snapshot key set identical across jobs
-    // and vectorization settings.
+    // and properties.
     options_.metrics->counter("engine.arena_records");
     options_.metrics->counter("engine.arena_segments");
     options_.metrics->counter("engine.arena_recycled");
     options_.metrics->counter("engine.vector_batches");
     options_.metrics->counter("engine.vector_lanes_filled");
+    options_.metrics->counter("engine.lane_blocks");
   }
   if (options_.trace != nullptr) {
     options_.trace->name_thread(0, "producer");
@@ -297,12 +298,13 @@ void EvalEngine::publish_metrics() {
   support::MetricsRegistry::Gauge& table_peak =
       options_.metrics->gauge("wrapper.table_peak");
   uint64_t program_nodes = 0;
-  uint64_t compiled = 0;
   uint64_t vector_batches = 0;
   uint64_t vector_lanes = 0;
+  uint64_t lane_blocks = 0;
   for (checker::PropertyChecker* c : checkers_) {
     vector_batches += c->stats().vector_batches;
     vector_lanes += c->stats().vector_lanes_filled;
+    lane_blocks += c->stats().lane_blocks;
     // The Sec. IV wrapper metrics cover abstracted properties only: the
     // merged histogram needs matching bounds. Serial, in registration
     // order: the merged histogram and the gauge high-water marks are
@@ -312,16 +314,13 @@ void EvalEngine::publish_metrics() {
                                       c->latency_histogram());
     pool_hw.set(0, c->stats().pool_capacity);
     table_peak.set(0, c->stats().table_peak);
-    if (c->program() != nullptr) {
-      ++compiled;
-      program_nodes += c->program()->size();
-    }
+    program_nodes += c->program()->size();
   }
-  options_.metrics->gauge("checker.compiled_wrappers").set(0, compiled);
   options_.metrics->gauge("checker.program_nodes").set(0, program_nodes);
   options_.metrics->counter("engine.vector_batches").add(0, vector_batches);
   options_.metrics->counter("engine.vector_lanes_filled")
       .add(0, vector_lanes);
+  options_.metrics->counter("engine.lane_blocks").add(0, lane_blocks);
 }
 
 void EvalEngine::finish() {

@@ -42,21 +42,23 @@ uint8_t or3(uint8_t a, uint8_t b) {
 
 }  // namespace
 
+bool ProgramBatch::supported(const Program& program) {
+  if (program.dynamic_count() != 0) return false;
+  if (program.nodes()[program.root()].pure_bool) return false;
+  return std::none_of(program.nodes().begin(), program.nodes().end(),
+                      [](const Program::ProgNode& node) {
+                        return node.op == Program::Opcode::kNextEps;
+                      });
+}
+
 ProgramBatch::ProgramBatch(std::shared_ptr<const Program> program)
     : program_(std::move(program)) {
   assert(program_ != nullptr);
   assert(supported(*program_));
   scratch_.resize(program_->size(), 0);
   for (uint32_t n = 0; n < program_->size(); ++n) {
-    switch (program_->nodes()[n].op) {
-      case Program::Opcode::kNext:
-        scratch_[n] = count_words_++;
-        break;
-      case Program::Opcode::kNextEps:
-        scratch_[n] = target_words_++;
-        break;
-      default:
-        break;
+    if (program_->nodes()[n].op == Program::Opcode::kNext) {
+      scratch_[n] = count_words_++;
     }
   }
 }
@@ -69,7 +71,6 @@ BatchState::BatchState(std::shared_ptr<const ProgramBatch> layout)
   armed_.resize(n, 0);
   observed_.resize(n, 0);
   counts_.resize(size_t{layout_->count_words()} * kLanes, 0);
-  targets_.resize(size_t{layout_->target_words()} * kLanes, 0);
   atom_stamp_.resize(prog_->atoms().size(), 0);
   atom_val_.resize(prog_->atoms().size(), 0);
 }
@@ -99,9 +100,6 @@ void BatchState::reset_lane(uint32_t lane) {
   }
   for (size_t w = 0; w < layout_->count_words(); ++w) {
     counts_[w * kLanes + lane] = 0;
-  }
-  for (size_t w = 0; w < layout_->target_words(); ++w) {
-    targets_[w * kLanes + lane] = 0;
   }
   primed_ &= keep;
   exercised_ &= keep;
@@ -214,38 +212,6 @@ void BatchState::step_node(uint32_t n, uint64_t need) {
       val_f_[n] |= val_f_[node.lhs] & child_need;
       return;
     }
-    case Program::Opcode::kNextEps: {
-      uint64_t child_need = 0;
-      uint64_t pending = todo;
-      while (pending != 0) {
-        const uint32_t lane = static_cast<uint32_t>(std::countr_zero(pending));
-        pending &= pending - 1;
-        const uint64_t bit = uint64_t{1} << lane;
-        if (!(armed_[n] & bit)) {  // anchor: schedule the required instant
-          armed_[n] |= bit;
-          targets_[size_t{layout_->scratch(n)} * kLanes + lane] =
-              ev_->time + node.eps;
-          continue;
-        }
-        if (observed_[n] & bit) {  // operand already anchored
-          child_need |= bit;
-          continue;
-        }
-        const psl::TimeNs target =
-            targets_[size_t{layout_->scratch(n)} * kLanes + lane];
-        if (ev_->time < target) continue;  // not due yet
-        if (ev_->time > target) {          // missed the evaluation point
-          val_f_[n] |= bit;
-          continue;
-        }
-        observed_[n] |= bit;  // due exactly now: anchor the operand
-        child_need |= bit;
-      }
-      step_node(node.lhs, child_need);
-      val_t_[n] |= val_t_[node.lhs] & child_need;
-      val_f_[n] |= val_f_[node.lhs] & child_need;
-      return;
-    }
     case Program::Opcode::kAbort: {
       // The abort condition is purely boolean, hence lane-uniform: one
       // evaluation decides every lane of the cohort.
@@ -264,7 +230,8 @@ void BatchState::step_node(uint32_t n, uint64_t need) {
       return;
     }
     default:
-      // Consts/atoms are pure_bool; dynamic ops are rejected by supported().
+      // Consts/atoms are pure_bool; dynamic ops and next_e are rejected by
+      // supported().
       assert(false && "unreachable opcode in lockstep kernel");
       return;
   }
@@ -284,8 +251,8 @@ Verdict BatchState::step_lane(const Event& ev, uint32_t lane) {
   assert(lane < kLanes);
   const uint64_t bit = uint64_t{1} << lane;
   if (!(primed_ & bit)) prime(ev, bit);
-  // Consume the primed bit: a second step at the same event (a re-dued
-  // eps == 0 entry) must re-advance the lane exactly like the scalar path.
+  // Consume the primed bit: the lane's next step is at a later event and
+  // must advance it again.
   primed_ &= ~bit;
   return root_verdict(lane);
 }
@@ -331,9 +298,6 @@ uint8_t BatchState::finish_raw(uint32_t n, uint64_t bit) {
       // Trace ended before the operand anchored: weak next, no failure.
       if (!(armed_[n] & bit)) return kVTrue;
       return finish_node(node.lhs, bit);
-    case Program::Opcode::kNextEps:
-      if (!(observed_[n] & bit)) return kVTrue;
-      return finish_node(node.lhs, bit);
     case Program::Opcode::kAbort:
       if (!(observed_[n] & bit)) return kVTrue;
       return finish_node(node.lhs, bit);
@@ -346,48 +310,6 @@ uint8_t BatchState::finish_raw(uint32_t n, uint64_t bit) {
 Verdict BatchState::finish_lane(uint32_t lane) {
   assert(lane < kLanes);
   return decode(finish_node(prog_->root(), uint64_t{1} << lane));
-}
-
-bool BatchState::collect_node(uint32_t n, uint32_t lane,
-                              std::vector<psl::TimeNs>& out) const {
-  const uint64_t bit = uint64_t{1} << lane;
-  if ((val_t_[n] | val_f_[n]) & bit) return true;
-  const Program::ProgNode& node = prog_->nodes()[n];
-  switch (node.op) {
-    case Program::Opcode::kConstTrue:
-    case Program::Opcode::kConstFalse:
-      return true;
-    case Program::Opcode::kAtom:
-      return false;
-    case Program::Opcode::kNot:
-      return collect_node(node.lhs, lane, out);
-    case Program::Opcode::kAnd:
-    case Program::Opcode::kOr:
-    case Program::Opcode::kImplies: {
-      const bool a = collect_node(node.lhs, lane, out);
-      const bool b = collect_node(node.rhs, lane, out);
-      return a && b;
-    }
-    case Program::Opcode::kNext:
-      if (!(armed_[n] & bit)) return false;
-      return collect_node(node.lhs, lane, out);
-    case Program::Opcode::kNextEps:
-      if (observed_[n] & bit) return collect_node(node.lhs, lane, out);
-      if (!(armed_[n] & bit)) return false;
-      out.push_back(targets_[size_t{layout_->scratch(n)} * kLanes + lane]);
-      return true;
-    default:
-      // abort must sample its condition at every event.
-      return false;
-  }
-}
-
-bool BatchState::collect_deadlines(uint32_t lane,
-                                   std::vector<psl::TimeNs>& out) const {
-  assert(lane < kLanes);
-  const uint32_t root = prog_->root();
-  if ((val_t_[root] | val_f_[root]) & (uint64_t{1} << lane)) return true;
-  return collect_node(root, lane, out);
 }
 
 }  // namespace repro::checker

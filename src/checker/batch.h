@@ -1,35 +1,37 @@
 // Vectorized 64-wide lockstep evaluation over a shared checker Program.
 //
-// The compiled backend (program.h) advances one instance per step() call;
-// under a wrapper a transaction typically makes *many* instances of the same
-// property due at once (the deadline cohort of Sec. IV point 2). The batch
-// backend packs the per-instance boolean node state into one 64-bit word per
-// program node — bit i belongs to lane i — so a single masked pass over the
-// post-order node table advances up to 64 pending instances in lockstep, and
-// each atom / purely boolean subtree is evaluated once per event and
-// broadcast to every lane instead of once per instance.
+// The scalar form (program.h) advances one instance per step() call; a
+// dense program (RTL and TLM-CA bodies: every pending instance sees every
+// event) keeps many instances of the same property pending at once. The
+// batch form packs the per-instance boolean node state into one 64-bit word
+// per program node — bit i belongs to lane i — so a single masked pass over
+// the post-order node table advances up to 64 pending instances in
+// lockstep, and each atom / purely boolean subtree is evaluated once per
+// event and broadcast to every lane instead of once per instance.
 //
-// Scope: only programs without dynamic (frame-spawning) nodes are supported
-// — ProgramBatch::supported() is exactly `dynamic_count() == 0`. That covers
-// the wrapper's abstracted next_e properties and the handshake-shaped RTL
-// bodies; until/release/always/eventually bodies keep the scalar compiled
-// backend (the wrapper falls back per property, not per instance).
+// Scope: ProgramBatch::supported() accepts exactly the programs without
+// dynamic (frame-spawning) nodes and without next_e whose body is not
+// purely boolean. until/release/always/eventually bodies keep the scalar
+// form, and so do next_e bodies: at TLM-AT their instances sleep on the
+// evaluation table until their deadlines, so cohorts do not form (0
+// multi-lane primes on both designs' TLM-AT runs). A boolean body resolves
+// at its anchor and never has a pending instance at all. The checker picks
+// the form per property from its program; there is no knob.
 //
 // Semantics: the masked kernel mirrors program.cc's Evaluator *exactly*,
 // including its short-circuit order — a subtree is only advanced for the
 // lanes whose parent actually steps it, because short-circuiting controls
 // when a subtree anchors, not just how much work is done. The need-mask
 // recursion (todo / rhs_need) is therefore the bitwise transcription of the
-// scalar control flow, and the ir/vector test suites prove three-way parity
-// against the interpreter and the scalar compiled backend.
+// scalar control flow, and the ir/vector test suites prove lane parity
+// against the scalar form and reference_eval.
 //
 // Priming protocol: a caller that knows a cohort of lanes will all consume
 // the same event calls prime(ev, mask) once; each lane's owner then calls
 // step_lane(ev, lane), which consumes the lane's primed bit without
-// re-evaluating. A step_lane() without a prior prime primes just that lane,
-// so scalar bookkeeping loops need no special cases — re-dued instances
-// (eps == 0 pathologies) self-prime and observe the same double-step the
-// scalar path does.
+// re-evaluating. A step_lane() without a prior prime primes just that lane
+// (an instance anchored at this event), so scalar bookkeeping loops need no
+// special cases.
 #ifndef REPRO_CHECKER_BATCH_H_
 #define REPRO_CHECKER_BATCH_H_
 
@@ -44,43 +46,41 @@
 namespace repro::checker {
 
 // Immutable per-Program layout shared by every BatchState of a property:
-// maps each counter-carrying node (next / next_e) to a dense scratch ordinal
-// so per-lane counters and deadline targets live in flat arrays.
+// maps each counter-carrying node (next) to a dense scratch ordinal so
+// per-lane counters live in one flat array.
 class ProgramBatch {
  public:
   explicit ProgramBatch(std::shared_ptr<const Program> program);
 
-  // A program is vectorizable iff it spawns no per-activation frames; every
-  // remaining opcode keeps its whole state in one bit, one counter or one
-  // deadline per lane. abort is supported: its condition is purely boolean
-  // and lane-uniform, and its "observed" bit is plane state.
-  static bool supported(const Program& program) {
-    return program.dynamic_count() == 0;
-  }
+  // A program gets lanes iff it spawns no per-activation frames, has no
+  // next_e and is not purely boolean: every remaining opcode keeps its whole
+  // state in one bit or one counter per lane, and an instance can stay
+  // pending. (A boolean body resolves at its anchor, so its instances never
+  // form a cohort.) abort is supported: its condition is purely boolean and
+  // lane-uniform, and its "observed" bit is plane state.
+  static bool supported(const Program& program);
 
   const Program& program() const { return *program_; }
   const std::shared_ptr<const Program>& shared_program() const {
     return program_;
   }
-  // Dense ordinal of node n's per-lane scratch (counts for kNext, targets
-  // for kNextEps); only meaningful for those opcodes.
+  // Dense ordinal of node n's per-lane skip counter; only meaningful for
+  // kNext.
   uint32_t scratch(uint32_t n) const { return scratch_[n]; }
   uint32_t count_words() const { return count_words_; }
-  uint32_t target_words() const { return target_words_; }
 
  private:
   std::shared_ptr<const Program> program_;
   std::vector<uint32_t> scratch_;  // one entry per node
   uint32_t count_words_ = 0;       // number of kNext nodes
-  uint32_t target_words_ = 0;      // number of kNextEps nodes
 };
 
 // Runtime state of up to 64 checker instances (lanes) of one program.
 // Four bit-planes per node replace ProgramState's Slot fields:
 //   val_t_/val_f_  <-> Slot::verdict (neither bit set = pending)
-//   armed_         <-> Slot::flags bit 0 (anchored / operand armed)
-//   observed_      <-> Slot::flags bit 1 (child armed / event observed)
-// plus per-lane scalar scratch for kNext counters and kNextEps targets.
+//   armed_         <-> Slot::flags bit 0 (operand armed)
+//   observed_      <-> Slot::flags bit 1 (abort: event observed)
+// plus per-lane scalar scratch for kNext counters.
 class BatchState {
  public:
   static constexpr uint32_t kLanes = 64;
@@ -105,8 +105,6 @@ class BatchState {
   Verdict step_lane(const Event& ev, uint32_t lane);
   // End-of-trace resolution for one lane (truncated semantics).
   Verdict finish_lane(uint32_t lane);
-  // Mirrors ProgramState::collect_deadlines for one lane.
-  bool collect_deadlines(uint32_t lane, std::vector<psl::TimeNs>& out) const;
   // Restores the lane's fresh (pre-anchor) state; the lane stays allocated.
   void reset_lane(uint32_t lane);
 
@@ -131,8 +129,6 @@ class BatchState {
   void step_node(uint32_t n, uint64_t need);
   uint8_t finish_node(uint32_t n, uint64_t bit);
   uint8_t finish_raw(uint32_t n, uint64_t bit);
-  bool collect_node(uint32_t n, uint32_t lane,
-                    std::vector<psl::TimeNs>& out) const;
 
   std::shared_ptr<const ProgramBatch> layout_;
   const Program* prog_;  // borrowed from layout_, hot-path shortcut
@@ -143,8 +139,7 @@ class BatchState {
   std::vector<uint64_t> armed_;
   std::vector<uint64_t> observed_;
   // Per-lane scalar scratch, indexed scratch(n) * kLanes + lane.
-  std::vector<uint32_t> counts_;       // kNext events skipped
-  std::vector<psl::TimeNs> targets_;   // kNextEps required instants
+  std::vector<uint32_t> counts_;  // kNext events skipped
 
   // Per-prime atom memo of the name path (lane-uniform: one value per atom
   // per event); events carrying Event::atoms read those bits instead.

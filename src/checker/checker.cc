@@ -61,13 +61,12 @@ PropertyChecker::PropertyChecker(std::string name, psl::ExprPtr formula,
                                  std::vector<uint64_t> latency_bounds,
                                  bool abstracted)
     : name_(std::move(name)),
-      formula_(std::move(formula)),
+      body_(std::move(formula)),
       guard_(std::move(guard)),
       options_(options),
       abstracted_(abstracted),
       latency_ns_(std::move(latency_bounds)) {
-  assert(formula_);
-  body_ = formula_;
+  assert(body_);
   while (body_->kind == psl::ExprKind::kAlways) {
     repeating_ = true;
     body_ = body_->lhs;
@@ -111,11 +110,12 @@ PropertyChecker::PropertyChecker(const psl::TlmProperty& property,
 
 void PropertyChecker::build_program() {
   // Compile once; every instance in the pool shares the immutable program.
-  // Frame-free programs additionally share a lockstep layout: instances then
-  // occupy lanes of 64-wide blocks and due cohorts advance in one pass.
-  if (options_.compiled) program_ = Program::compile(body_);
-  if (program_ != nullptr && options_.vectorized &&
-      ProgramBatch::supported(*program_)) {
+  // Programs the lockstep kernel accepts (frame-free temporal bodies without
+  // next_e: dense RTL and TLM-CA bodies) additionally share a lockstep
+  // layout: instances then occupy lanes of 64-wide blocks and each event
+  // advances the pending cohort in one pass.
+  program_ = Program::compile(body_);
+  if (ProgramBatch::supported(*program_)) {
     batch_layout_ = std::make_shared<const ProgramBatch>(program_);
   }
   free_pool_.reserve(lifetime_);
@@ -129,7 +129,7 @@ void PropertyChecker::attach(RecordPass& pass) {
   if (pass.witnesses().depth() < witness_depth_) {
     pass.witnesses().set_depth(witness_depth_);
   }
-  activation_.reset(pass.atoms(), name_, program_.get(), body_, guard_,
+  activation_.reset(pass.atoms(), name_, *program_, body_, guard_,
                     antecedent_);
 }
 
@@ -220,23 +220,21 @@ std::unique_ptr<Instance> PropertyChecker::make_instance() {
       }
     }
     blocks_.push_back(std::make_shared<BatchState>(batch_layout_));
+    ++stats_.lane_blocks;
     return std::make_unique<Instance>(blocks_.back(),
                                       blocks_.back()->allocate_lane());
   }
-  if (program_) return std::make_unique<Instance>(program_);
-  return std::make_unique<Instance>(body_);
+  return std::make_unique<Instance>(program_);
 }
 
-// Lockstep pre-pass: collect the instances this event is about to step —
-// scheduled entries whose deadline has arrived plus every dense instance —
-// group them by lane block, and advance each block once through the 64-wide
-// kernel. The bookkeeping loops in evaluate() then consume the primed
-// verdicts lane by lane, so stats ordering, table evolution, failure logs
-// and the free-pool LIFO are identical to the scalar path by construction.
-// Instances that get re-stepped within the same event (re-dued eps == 0
-// entries, table instances migrating to the dense list) have consumed their
-// primed bit by then and self-prime, preserving the scalar double-step.
-void PropertyChecker::prime_cohorts(psl::TimeNs time, const Event& ev) {
+// Lockstep pre-pass: group the dense instances this event is about to step
+// by lane block and advance each block once through the 64-wide kernel. A
+// lane-backed program has no next_e, so none of its instances is ever on
+// the evaluation table. The dense loop in evaluate() then consumes the
+// primed verdicts lane by lane, so stats ordering, failure logs and the
+// free-pool LIFO are identical to the scalar form by construction; the
+// instance anchored at this event self-primes its own lane.
+void PropertyChecker::prime_cohorts(const Event& ev) {
   prime_masks_.clear();
   const auto add = [&](const Instance& instance) {
     BatchState* block = instance.batch_block();
@@ -250,10 +248,6 @@ void PropertyChecker::prime_cohorts(psl::TimeNs time, const Event& ev) {
     }
     prime_masks_.emplace_back(block, bit);
   };
-  for (const Scheduled& entry : table_) {
-    if (entry.deadline > time) break;
-    add(*entry.instance);
-  }
   for (const auto& instance : dense_) add(*instance);
   for (auto& [block, mask] : prime_masks_) {
     const int lanes = std::popcount(mask);
@@ -297,7 +291,7 @@ void PropertyChecker::evaluate(psl::TimeNs time, const ValueContext& values) {
   Event ev{time, &values, nullptr};
   if (steps) {
     ev.atoms = activation_.program_bits(bits);
-    if (!blocks_.empty()) prime_cohorts(time, ev);
+    if (!blocks_.empty()) prime_cohorts(ev);
   }
 
   // Sec. IV point 2: evaluate every scheduled instance whose deadline is at

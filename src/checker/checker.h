@@ -49,17 +49,14 @@
 
 namespace repro::checker {
 
-// Backend and resource options of a checker. The compiled backend
-// evaluates a flat program (program.h) shared by every instance of a
-// property; the interpreter backend keeps the virtual-dispatch obligation
-// tree of instance.h. Both implement the same semantics (cross-validated in
-// the ir test suite).
+// Resource options of a checker. Every checker evaluates its property's
+// compiled program (program.h); the lockstep lanes of batch.h are used
+// exactly when ProgramBatch::supported() accepts the program.
 struct CheckerOptions {
+  // Ignored. Kept only because abvbench/abv_e2e.cc still assigns it; the
+  // abvbench insulation PR deletes it (ROADMAP.md).
   bool compiled = true;
-  // On the compiled backend, evaluate instances of frame-free programs
-  // (ProgramBatch::supported) through the 64-wide lockstep kernel (batch.h).
-  // Reports are byte-identical either way; only speed differs. Programs with
-  // dynamic operators fall back to scalar compiled evaluation per property.
+  // Ignored, like `compiled`, and deleted by the same PR.
   bool vectorized = true;
   // Maximum number of Failure entries retained for diagnostics; verdicts and
   // stats are unaffected.
@@ -117,15 +114,15 @@ struct CheckerStats {
   // semantics decide whether the miss is absorbed or fails the instance.
   uint64_t missed_deadlines = 0;
   // steps x formula node count: a deterministic evaluation-cost proxy that
-  // is identical across the interpreter/compiled/lockstep backends (actual
-  // per-backend node visits differ and would break report byte-identity).
+  // is identical for the scalar and lane forms (actual node visits differ
+  // between them and would break report byte-identity).
   uint64_t node_visits = 0;
   size_t pool_capacity = 0;   // live instances (in use + pooled)
   size_t table_peak = 0;      // peak size of the evaluation table
-  // Lockstep accounting (vectorized backend only; absent from reports, so
-  // the JSON stays byte-identical with vectorization on or off).
+  // Lockstep accounting (lane-backed programs only; absent from reports).
   uint64_t vector_batches = 0;       // multi-lane prime() calls
   uint64_t vector_lanes_filled = 0;  // lanes advanced by those calls
+  uint64_t lane_blocks = 0;          // 64-lane blocks allocated
 };
 
 class PropertyChecker {
@@ -182,8 +179,7 @@ class PropertyChecker {
   size_t lifetime() const { return lifetime_; }
 
   const CheckerOptions& options() const { return options_; }
-  // Compiled program shared by this checker's instances; nullptr on the
-  // interpreter backend.
+  // Compiled program shared by this checker's instances.
   const std::shared_ptr<const Program>& program() const { return program_; }
 
   // --- Observability -------------------------------------------------------
@@ -249,18 +245,17 @@ class PropertyChecker {
   // Compiles body_ (and its lockstep layout) and fills the pool to the
   // lifetime.
   void build_program();
-  void prime_cohorts(psl::TimeNs time, const Event& ev);
+  void prime_cohorts(const Event& ev);
 
   std::string name_;
-  psl::ExprPtr formula_;   // keeps the AST alive for node back-references
   psl::ExprPtr body_;      // formula with the top-level always stripped
   psl::ExprPtr guard_;     // context guard, may be nullptr
   CheckerOptions options_;
   bool abstracted_ = false;
-  std::shared_ptr<const Program> program_;  // compiled backend only
-  // Vectorized backend: the shared lockstep layout and the lane blocks the
+  std::shared_ptr<const Program> program_;
+  // Lane-backed programs: the shared lockstep layout and the lane blocks the
   // instances live in (one block per 64 concurrent instances). Empty when
-  // the program is unsupported or vectorization is off.
+  // ProgramBatch::supported() rejects the program.
   std::shared_ptr<const ProgramBatch> batch_layout_;
   std::vector<std::shared_ptr<BatchState>> blocks_;
   // Reused per-event scratch of the prime pre-pass (block -> lanes).

@@ -3,11 +3,13 @@
 //
 // An Instance is anchored at one evaluation point (clock edge / transaction
 // end). Its first step() call receives the anchor event; subsequent calls
-// receive the following events of the stream. The instance maintains an
-// obligation tree mirroring the formula and resolves to kTrue/kFalse as soon
-// as the verdict is determined; finish() applies end-of-trace (truncated)
-// semantics. The semantics implemented here is cross-validated against
-// reference_eval in the test suite.
+// receive the following events of the stream. The instance evaluates its
+// property's compiled Program (program.h) and resolves to kTrue/kFalse as
+// soon as the verdict is determined; finish() applies end-of-trace
+// (truncated) semantics. The state lives either in a private ProgramState or
+// in one lane of a shared 64-wide lockstep block (batch.h); the owner picks
+// the lane form exactly when ProgramBatch::supported() accepts the program.
+// Both are cross-validated against reference_eval in the test suite.
 //
 // Instances are reusable: reset() restores the fresh state so a wrapper can
 // recycle completed instances (step 3 of the Sec. IV wrapper behaviour).
@@ -26,39 +28,13 @@
 
 namespace repro::checker {
 
-namespace detail {
-
-// Obligation-tree node. Nodes are created just before their anchor event is
-// fed; step() is called with the anchor event first, then each later event.
-class Node {
- public:
-  virtual ~Node() = default;
-  virtual Verdict step(const Event& ev) = 0;
-  // End of trace: resolve weak obligations to kTrue, strong ones to kFalse.
-  virtual Verdict finish() = 0;
-  // Collects the wall-clock instants at which this subtree must next be
-  // evaluated (targets of unresolved next_e nodes). Returns false if the
-  // subtree needs to observe every event (until/release/always/...).
-  virtual bool collect_deadlines(std::vector<psl::TimeNs>& out) const = 0;
-  // Restores the fresh (pre-anchor) state in place, without reallocating
-  // the obligation tree — this is what makes wrapper instance reuse
-  // (Sec. IV point 3) cheap.
-  virtual void reset() = 0;
-};
-
-std::unique_ptr<Node> make_node(const psl::ExprPtr& e);
-
-}  // namespace detail
-
 class Instance {
  public:
-  // Interpreter backend: builds a virtual-dispatch obligation tree.
-  explicit Instance(psl::ExprPtr formula);
-  // Compiled backend: flat state over a shared immutable Program.
+  // Scalar form: flat state over a shared immutable Program.
   explicit Instance(std::shared_ptr<const Program> program);
-  // Vectorized backend: one lane of a shared 64-wide lockstep block. The
-  // lane must already be allocated; the instance owns it and returns it to
-  // the block on destruction.
+  // Lane form: one lane of a shared 64-wide lockstep block. The lane must
+  // already be allocated; the instance owns it and returns it to the block
+  // on destruction.
   Instance(std::shared_ptr<BatchState> block, uint32_t lane);
   ~Instance();
 
@@ -77,7 +53,8 @@ class Instance {
 
   // Earliest wall-clock instant at which this instance must be evaluated
   // next, if the pending obligations are purely time-scheduled (next_e).
-  // nullopt when the instance must see every event or is resolved.
+  // nullopt when the instance must see every event, is resolved or is
+  // lane-backed (a lane's program has no next_e).
   // `scratch` is caller-owned collection space, reused across calls so
   // steady-state scheduling does not allocate; its contents are clobbered.
   std::optional<psl::TimeNs> next_deadline(
@@ -108,25 +85,19 @@ class Instance {
     return block_ != nullptr ? block_->exercised(lane_) : exercised_;
   }
 
-  // True when this instance runs on a compiled backend (flat program state
-  // or a lockstep lane).
-  bool compiled() const { return state_.has_value() || block_ != nullptr; }
-
-  // Lockstep block backing this instance (nullptr on the scalar backends)
-  // and the lane it occupies; the owner uses these to group instances into
+  // Lockstep block backing this instance (nullptr in the scalar form) and
+  // the lane it occupies; the owner uses these to group instances into
   // prime() cohorts.
   BatchState* batch_block() const { return block_.get(); }
   uint32_t batch_lane() const { return lane_; }
 
  private:
-  psl::ExprPtr formula_;
-  std::unique_ptr<detail::Node> root_;   // interpreter backend
-  std::optional<ProgramState> state_;    // compiled backend
-  std::shared_ptr<BatchState> block_;    // vectorized backend
-  uint32_t lane_ = 0;                    // lane within block_
+  std::optional<ProgramState> state_;  // scalar form
+  std::shared_ptr<BatchState> block_;  // lane form
+  uint32_t lane_ = 0;                  // lane within block_
   Verdict verdict_ = Verdict::kPending;
   psl::TimeNs activated_at_ = 0;
-  bool exercised_ = false;  // scalar backends; lane-backed bit lives in block_
+  bool exercised_ = false;  // scalar form; a lane's bit lives in block_
 };
 
 }  // namespace repro::checker

@@ -424,8 +424,8 @@ class Evaluator {
       case Program::Opcode::kNot:
         return not3(step(node.lhs, f, base));
       case Program::Opcode::kAnd: {
-        // Short-circuit exactly like the interpreter: when the left operand
-        // alone decides, the right subtree is never anchored.
+        // Short-circuit: when the left operand alone decides, the right
+        // subtree is never anchored (batch.h's lane kernel mirrors this).
         const uint8_t l = step(node.lhs, f, base);
         if (l == kVFalse) return kVFalse;
         return and3(l, step(node.rhs, f, base));
@@ -658,7 +658,8 @@ class Evaluator {
   std::vector<uint8_t>* atom_val_;
 };
 
-// Deadline collection is read-only; mirrors Node::collect_deadlines.
+// Deadline collection is read-only: the next_e targets of the pending
+// subtree, or false when some pending node must observe every event.
 bool collect_node(const Program& prog, uint32_t n, const Frame& f,
                   uint32_t base, std::vector<psl::TimeNs>& out) {
   const Slot& s = f.slots[n - base];

@@ -1,6 +1,5 @@
 // Compiled checker programs: the flat, allocation-light form of one
-// property's obligation evaluation (the fast path replacing the
-// virtual-dispatch obligation tree of instance.h).
+// property's obligation evaluation, and the only checker backend.
 //
 // Program::compile flattens a formula into a dense, topologically ordered
 // node table (children precede parents; the root is the last node), one
@@ -20,10 +19,10 @@
 // pending and is neutral in the fixpoint, so the newest event alone decides
 // it, and finish() folds its empty position list to the weak/strong default.
 //
-// Semantics are identical, event for event, to the detail::Node interpreter;
-// the ir test suite proves parity against both the interpreter and
-// reference_eval, and the backend-equivalence suite proves byte-identical
-// JSON reports on the example designs.
+// Semantics are identical, event for event, to reference_eval (the
+// declarative oracle); the ir test suite proves parity against it for the
+// scalar form and the lockstep lanes of batch.h, and the ReportGolden suite
+// pins whole-run JSON reports on the example designs.
 #ifndef REPRO_CHECKER_PROGRAM_H_
 #define REPRO_CHECKER_PROGRAM_H_
 

@@ -122,21 +122,16 @@ void ActivationLogic::add_atoms(const psl::ExprPtr& e) {
 }
 
 void ActivationLogic::reset(AtomTable& table, std::string property,
-                            const Program* program, const psl::ExprPtr& body,
+                            const Program& program, const psl::ExprPtr& body,
                             const psl::ExprPtr& guard,
                             const psl::ExprPtr& antecedent) {
   table_ = &table;
   property_ = std::move(property);
-  atoms_.clear();
   program_atoms_.clear();
-  if (program != nullptr) {
-    for (const psl::Atom& atom : program->atoms()) {
-      program_atoms_.push_back(table.atom(atom));
-    }
-    atoms_ = program_atoms_;
-  } else {
-    add_atoms(body);
+  for (const psl::Atom& atom : program.atoms()) {
+    program_atoms_.push_back(table.atom(atom));
   }
+  atoms_ = program_atoms_;
   gathered_.assign(std::max<size_t>(1, program_atoms_.size()), 0);
   guard_ = guard;
   antecedent_ = antecedent;

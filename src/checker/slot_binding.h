@@ -107,11 +107,10 @@ class AtomTable {
 // returned, or nullptr for the name path.
 class ActivationLogic {
  public:
-  // Registers the property with `table`. `program` is null on the
-  // interpreter backend; the body's atoms are then still registered, so
-  // binding checks every observable the body reads. `guard` and
-  // `antecedent` may be null. The table must outlive this view.
-  void reset(AtomTable& table, std::string property, const Program* program,
+  // Registers the property with `table`: `program` is the compiled `body`,
+  // whose atoms binding checks first. `guard` and `antecedent` may be null.
+  // The table must outlive this view.
+  void reset(AtomTable& table, std::string property, const Program& program,
              const psl::ExprPtr& body, const psl::ExprPtr& guard,
              const psl::ExprPtr& antecedent);
 

@@ -433,8 +433,6 @@ void append(std::vector<analysis::Diagnostic>& to,
 
 checker::CheckerOptions checker_options(const RunConfig& config) {
   checker::CheckerOptions options;
-  options.compiled = config.compiled_checkers;
-  options.vectorized = config.engine.vectorized;
   options.failure_log_cap = config.observability.failure_log_cap;
   return options;
 }

@@ -140,8 +140,9 @@ struct RunConfig {
   size_t workload = 500;
   uint64_t seed = 42;
   psl::TimeNs clock_period_ns = 10;
-  // Checker backend: compiled flat programs (default) or the tree
-  // interpreter. Verdicts and reports are identical; only speed differs.
+  // Ignored: every checker runs its compiled program. Kept only because
+  // abvbench/abv_e2e.cc still reads it; the abvbench insulation PR deletes
+  // it (ROADMAP.md).
   bool compiled_checkers = true;
   // Extra properties appended after the suite selection; abstracted for
   // TLM-AT like any suite entry. Lets callers inject ad-hoc properties

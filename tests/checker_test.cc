@@ -5,6 +5,7 @@
 
 #include "checker/checker.h"
 #include "checker/instance.h"
+#include "checker/program.h"
 #include "checker/reference_eval.h"
 #include "checker/trace.h"
 #include "psl/parser.h"
@@ -30,9 +31,10 @@ Observation obs(psl::TimeNs time,
   return o;
 }
 
-// Steps a fresh instance through the whole trace and finishes it.
+// Steps a fresh instance of the compiled formula through the whole trace and
+// finishes it.
 Verdict run_instance(const ExprPtr& formula, const Trace& trace) {
-  Instance instance(formula);
+  Instance instance(Program::compile(formula));
   for (const auto& o : trace) {
     const Verdict v = instance.step(Event{o.time, &o.values});
     if (v != Verdict::kPending) return v;
@@ -146,7 +148,7 @@ TEST(Instance, ReleaseIsWeak) {
 }
 
 TEST(Instance, AlwaysDetectsViolationImmediately) {
-  Instance instance(parse("always a"));
+  Instance instance(Program::compile(parse("always a")));
   const Observation good = obs(10, {{"a", 1}});
   EXPECT_EQ(instance.step(Event{good.time, &good.values}), Verdict::kPending);
   const Observation bad = obs(20, {{"a", 0}});
@@ -196,7 +198,7 @@ TEST(Instance, ImplicationShortCircuit) {
 
 TEST(Instance, ResetRestoresFreshState) {
   const ExprPtr formula = parse("next_e[1,20](a)");
-  Instance instance(formula);
+  Instance instance(Program::compile(formula));
   const Observation o1 = obs(10, {{"a", 0}});
   const Observation o2 = obs(30, {{"a", 1}});
   instance.step(Event{o1.time, &o1.values});
@@ -213,7 +215,8 @@ TEST(Instance, ResetRestoresFreshState) {
 }
 
 TEST(Instance, NextDeadlineReportsNextEpsTargets) {
-  Instance instance(parse("next_e[1,30](a) && next_e[2,50](b)"));
+  Instance instance(
+      Program::compile(parse("next_e[1,30](a) && next_e[2,50](b)")));
   const Observation o = obs(100, {{"a", 0}, {"b", 0}});
   instance.step(Event{o.time, &o.values});
   std::vector<psl::TimeNs> scratch;
@@ -223,7 +226,7 @@ TEST(Instance, NextDeadlineReportsNextEpsTargets) {
 }
 
 TEST(Instance, NextDeadlineAbsentForDenseObligations) {
-  Instance instance(parse("p until q"));
+  Instance instance(Program::compile(parse("p until q")));
   const Observation o = obs(10, {{"p", 1}, {"q", 0}});
   instance.step(Event{o.time, &o.values});
   std::vector<psl::TimeNs> scratch;
@@ -398,7 +401,7 @@ TEST_P(RandomizedEquivalence, InstanceMatchesReferenceEvaluator) {
   const ExprPtr formula = random_formula(rng, 3);
   const Trace trace = random_trace(rng, 12);
 
-  Instance instance(formula);
+  Instance instance(Program::compile(formula));
   for (size_t k = 0; k < trace.size(); ++k) {
     const Verdict incremental =
         instance.step(Event{trace[k].time, &trace[k].values});
@@ -422,13 +425,13 @@ TEST_P(RandomizedEquivalence, ResetInstanceBehavesLikeFresh) {
   const Trace first = random_trace(rng, 8);
   const Trace second = random_trace(rng, 8);
 
-  Instance reused(formula);
+  Instance reused(Program::compile(formula));
   for (const auto& o : first) {
     if (reused.step(Event{o.time, &o.values}) != Verdict::kPending) break;
   }
   reused.reset();
 
-  Instance fresh(formula);
+  Instance fresh(Program::compile(formula));
   for (const auto& o : second) {
     const Verdict a = reused.step(Event{o.time, &o.values});
     const Verdict b = fresh.step(Event{o.time, &o.values});

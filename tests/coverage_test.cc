@@ -105,12 +105,13 @@ TEST(CoverageAntecedent, ProgramMirrorsAntecedentNodeSet) {
 
 // ---- Real vs vacuous pass counting ----------------------------------------------
 
-// Drives `always (a -> next[1](b))` so one activation passes with the
+// Drives `always (a -> <op>(b))` so one activation passes with the
 // antecedent fired (real) and one resolves trivially off a false antecedent
-// (vacuous), on each backend.
-void expect_vacuity_split(const CheckerOptions& options) {
-  PropertyChecker checker("p", parse("always (a -> next[1](b))"), nullptr,
-                          options);
+// (vacuous). `formula` picks the backend: next_e keeps the scalar program,
+// next gets lockstep lanes.
+void expect_vacuity_split(const char* formula, bool lanes) {
+  PropertyChecker checker("p", parse(formula), nullptr);
+  EXPECT_EQ(ProgramBatch::supported(*checker.program()), lanes) << formula;
   MapContext fired;
   fired.set("a", 1);
   fired.set("b", 0);
@@ -131,24 +132,12 @@ void expect_vacuity_split(const CheckerOptions& options) {
   EXPECT_GT(s.node_visits, 0u);
 }
 
-TEST(CoverageVacuity, SplitOnInterpreterBackend) {
-  CheckerOptions options;
-  options.compiled = false;
-  expect_vacuity_split(options);
-}
-
 TEST(CoverageVacuity, SplitOnCompiledScalarBackend) {
-  CheckerOptions options;
-  options.compiled = true;
-  options.vectorized = false;
-  expect_vacuity_split(options);
+  expect_vacuity_split("always (a -> next_e[1,10](b))", /*lanes=*/false);
 }
 
 TEST(CoverageVacuity, SplitOnLockstepBackend) {
-  CheckerOptions options;
-  options.compiled = true;
-  options.vectorized = true;
-  expect_vacuity_split(options);
+  expect_vacuity_split("always (a -> next[1](b))", /*lanes=*/true);
 }
 
 TEST(CoverageVacuity, UnguardedPropertyCountsEveryHoldAsReal) {

@@ -2,6 +2,7 @@
 // and III.2, run through the full simulation harness at every abstraction
 // level, plus the negative results (naive reuse and the paper-exact push
 // mode spuriously failing at TLM-AT) and bug detection.
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -225,6 +226,35 @@ TEST(GoldenRunResult, EveryCellAtZeroAndAllCheckers) {
     EXPECT_EQ(r.properties_deleted, g.properties_deleted);
     EXPECT_EQ(r.functional_ok, g.functional_ok);
     EXPECT_TRUE(r.ingest_error.empty()) << r.ingest_error;
+  }
+}
+
+// ---- Paper shape on deterministic counters --------------------------------------
+
+// Table I's shape, on counters rather than wall time: checking the
+// abstracted properties at TLM-AT costs fewer checker node visits than
+// checking the original properties per clock cycle at TLM-CA or at RTL.
+// node_visits = steps x formula size, identical for any host and any jobs.
+uint64_t summed_node_visits(Design design, Level level, size_t workload) {
+  const size_t checkers = design == Design::kDes56 ? 9 : 12;
+  const RunResult r = run(design, level, checkers, workload);
+  EXPECT_TRUE(r.properties_ok);
+  uint64_t visits = 0;
+  for (const abv::PropertyReport& row : r.report.properties()) {
+    visits += row.node_visits;
+  }
+  return visits;
+}
+
+TEST(PaperShape, TlmAtVisitsFewerNodesThanTlmCaAndRtl) {
+  for (const Design design : {Design::kDes56, Design::kColorConv}) {
+    const size_t workload = design == Design::kDes56 ? 100 : 150;
+    const uint64_t at = summed_node_visits(design, Level::kTlmAt, workload);
+    const uint64_t ca = summed_node_visits(design, Level::kTlmCa, workload);
+    const uint64_t rtl = summed_node_visits(design, Level::kRtl, workload);
+    EXPECT_GT(at, 0u) << to_string(design);
+    EXPECT_LT(at, ca) << to_string(design);
+    EXPECT_LT(at, rtl) << to_string(design);
   }
 }
 

@@ -1,7 +1,8 @@
 // IR-layer tests: the hash-consed expression arena (psl/intern.h), the
 // compiled checker programs (checker/program.h), parity of the compiled
-// backend against both the tree interpreter and the reference evaluator,
-// and the parser/printer round-trip over the full property suites.
+// program and its lockstep lanes (checker/batch.h) against the reference
+// evaluator, and the parser/printer round-trip over the full property
+// suites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "abv/report.h"
 #include "abv/snapshot_context.h"
 #include "analysis/prune.h"
 #include "checker/batch.h"
@@ -24,8 +24,8 @@
 #include "checker/reference_eval.h"
 #include "checker/slot_binding.h"
 #include "checker/trace.h"
+#include "checker_oracle.h"
 #include "models/properties.h"
-#include "models/testbench.h"
 #include "psl/ast.h"
 #include "psl/intern.h"
 #include "psl/parser.h"
@@ -37,6 +37,9 @@
 namespace repro::checker {
 namespace {
 
+using oracle::oracle_run;
+using oracle::reference_resolutions;
+using oracle::Resolution;
 using psl::ExprId;
 using psl::ExprPtr;
 using psl::ExprTable;
@@ -277,55 +280,69 @@ Trace random_trace(Rng& rng, size_t max_len) {
 
 class IrBackendParity : public ::testing::TestWithParam<int> {};
 
-// Three-way parity: interpreter vs scalar compiled vs (for frame-free
-// programs) a lockstep lane of the vectorized backend. The lane instance is
-// absent when the random formula drew a dynamic operator — exactly the
-// per-property fallback the wrapper applies.
+constexpr int kParitySeeds = 200;
+
+void expect_same_stats(const CheckerStats& a, const CheckerStats& b,
+                       const std::string& what);
+
+ExprPtr strip_always(ExprPtr e) {
+  while (e->kind == psl::ExprKind::kAlways) e = e->lhs;
+  return e;
+}
+
+// The generators of the two lane sweeps below, shared with their floor test.
+Rng program_sweep_rng(int param) {
+  return Rng(static_cast<uint64_t>(param) * 6271 + 5);
+}
+Rng checker_sweep_rng(int param) {
+  return Rng(static_cast<uint64_t>(param) * 40127 + 11);
+}
+
+// A lockstep lane of `program`, or nullptr when the kernel rejects it — the
+// same per-property choice PropertyChecker makes.
+std::unique_ptr<Instance> lane_instance(
+    const std::shared_ptr<const Program>& program) {
+  if (!ProgramBatch::supported(*program)) return nullptr;
+  auto block = std::make_shared<BatchState>(
+      std::make_shared<const ProgramBatch>(program));
+  return std::make_unique<Instance>(block, block->allocate_lane());
+}
+
+// The compiled program and, when ProgramBatch::supported() accepts it, a
+// lockstep lane against reference_eval, on every prefix and at the end of
+// the trace. A lane-backed program is never time-scheduled.
 TEST_P(IrBackendParity, CompiledMatchesInterpreterAndReference) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 6271 + 5);
+  Rng rng = program_sweep_rng(GetParam());
   const ExprPtr formula = random_formula(rng, 3);
   const Trace trace = random_trace(rng, 12);
 
   const auto program = Program::compile(formula);
-  Instance interpreted(formula);
   Instance compiled(program);
-  std::unique_ptr<Instance> lane;
-  if (ProgramBatch::supported(*program)) {
-    auto block = std::make_shared<BatchState>(
-        std::make_shared<const ProgramBatch>(program));
-    lane = std::make_unique<Instance>(block, block->allocate_lane());
-  }
+  const std::unique_ptr<Instance> lane = lane_instance(program);
   std::vector<psl::TimeNs> scratch;
   for (size_t k = 0; k < trace.size(); ++k) {
     const Event ev{trace[k].time, &trace[k].values};
-    const Verdict vi = interpreted.step(ev);
     const Verdict vc = compiled.step(ev);
-    ASSERT_EQ(vc, vi) << "formula: " << psl::to_string(formula)
-                      << "\nprefix length: " << k + 1;
-    ASSERT_EQ(compiled.next_deadline(scratch),
-              interpreted.next_deadline(scratch))
-        << "formula: " << psl::to_string(formula) << "\nprefix length: " << k + 1;
+    const Trace prefix(trace.begin(), trace.begin() + k + 1);
+    ASSERT_EQ(vc, reference_eval(formula, prefix, 0, /*complete=*/false))
+        << "formula: " << psl::to_string(formula)
+        << "\nprefix length: " << k + 1;
     if (lane != nullptr) {
       ASSERT_EQ(lane->step(ev), vc)
           << "vector lane diverged: " << psl::to_string(formula)
           << "\nprefix length: " << k + 1;
-      ASSERT_EQ(lane->next_deadline(scratch), compiled.next_deadline(scratch))
-          << "formula: " << psl::to_string(formula)
-          << "\nprefix length: " << k + 1;
+      ASSERT_FALSE(lane->next_deadline(scratch).has_value());
+      ASSERT_FALSE(compiled.next_deadline(scratch).has_value())
+          << "formula: " << psl::to_string(formula);
     }
-    const Trace prefix(trace.begin(), trace.begin() + k + 1);
-    ASSERT_EQ(vc, reference_eval(formula, prefix, 0, /*complete=*/false))
-        << "formula: " << psl::to_string(formula);
     if (vc != Verdict::kPending) return;
   }
-  ASSERT_EQ(compiled.finish(), interpreted.finish())
+  ASSERT_EQ(compiled.finish(), reference_eval(formula, trace, 0, true))
       << "formula: " << psl::to_string(formula);
   if (lane != nullptr) {
     ASSERT_EQ(lane->finish(), compiled.verdict())
         << "formula: " << psl::to_string(formula);
   }
-  ASSERT_EQ(compiled.verdict(), reference_eval(formula, trace, 0, true))
-      << "formula: " << psl::to_string(formula);
 }
 
 TEST_P(IrBackendParity, ResetCompiledInstanceBehavesLikeFresh) {
@@ -352,52 +369,43 @@ TEST_P(IrBackendParity, ResetCompiledInstanceBehavesLikeFresh) {
 }
 
 // Coverage-counter parity at the checker level: the same random formula
-// wrapped in `always` and driven through three full PropertyChecker
-// backends (interpreter, compiled scalar, compiled+vectorized). Every
-// CheckerStats field — including the vacuity split and the node-visit cost
-// proxy — must be byte-identical; only the vector_* accounting may differ.
+// wrapped in `always`, driven through a full PropertyChecker (lane-backed
+// exactly when the kernel accepts the body), against the counts a
+// reference_eval run of every activation gives. Every CheckerStats field the
+// oracle knows — including the vacuity split and the node-visit cost proxy —
+// must match.
 TEST_P(IrBackendParity, CoverageCountersIdenticalAcrossBackends) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 40127 + 11);
+  Rng rng = checker_sweep_rng(GetParam());
   const ExprPtr formula = psl::always(random_formula(rng, 3));
   const Trace trace = random_trace(rng, 16);
 
-  CheckerOptions interp_opts;
-  interp_opts.compiled = false;
-  CheckerOptions scalar_opts;
-  scalar_opts.compiled = true;
-  scalar_opts.vectorized = false;
-  CheckerOptions vector_opts;
-  vector_opts.compiled = true;
-  vector_opts.vectorized = true;
-  PropertyChecker interp("p", formula, nullptr, interp_opts);
-  PropertyChecker scalar("p", formula, nullptr, scalar_opts);
-  PropertyChecker vector("p", formula, nullptr, vector_opts);
-  for (const Observation& o : trace) {
-    interp.on_event(o.time, o.values);
-    scalar.on_event(o.time, o.values);
-    vector.on_event(o.time, o.values);
-  }
-  interp.finish();
-  scalar.finish();
-  vector.finish();
+  PropertyChecker checker("p", formula, nullptr);
+  for (const Observation& o : trace) checker.on_event(o.time, o.values);
+  checker.finish();
 
-  const auto expect_same = [&](const CheckerStats& a, const CheckerStats& b) {
-    EXPECT_EQ(a.events, b.events) << psl::to_string(formula);
-    EXPECT_EQ(a.activations, b.activations) << psl::to_string(formula);
-    EXPECT_EQ(a.failures, b.failures) << psl::to_string(formula);
-    EXPECT_EQ(a.holds, b.holds) << psl::to_string(formula);
-    EXPECT_EQ(a.trivial, b.trivial) << psl::to_string(formula);
-    EXPECT_EQ(a.uncompleted, b.uncompleted) << psl::to_string(formula);
-    EXPECT_EQ(a.steps, b.steps) << psl::to_string(formula);
-    EXPECT_EQ(a.real_passes, b.real_passes) << psl::to_string(formula);
-    EXPECT_EQ(a.vacuous_passes, b.vacuous_passes) << psl::to_string(formula);
-    EXPECT_EQ(a.node_visits, b.node_visits) << psl::to_string(formula);
-  };
-  expect_same(interp.stats(), scalar.stats());
-  expect_same(scalar.stats(), vector.stats());
+  expect_same_stats(checker.stats(),
+                    oracle_run(strip_always(formula), nullptr, trace).stats,
+                    psl::to_string(formula));
   // The split partitions the holds exactly.
-  EXPECT_EQ(scalar.stats().holds,
-            scalar.stats().real_passes + scalar.stats().vacuous_passes);
+  EXPECT_EQ(checker.stats().holds,
+            checker.stats().real_passes + checker.stats().vacuous_passes);
+}
+
+// The two sweeps above stay lane sweeps: enough of their seeds draw a
+// program the lockstep kernel accepts.
+TEST(IrBackendParityLanes, EverySweepHasLaneBackedCases) {
+  size_t program_lanes = 0;
+  size_t checker_lanes = 0;
+  for (int param = 0; param < kParitySeeds; ++param) {
+    Rng a = program_sweep_rng(param);
+    program_lanes +=
+        ProgramBatch::supported(*Program::compile(random_formula(a, 3)));
+    Rng b = checker_sweep_rng(param);
+    checker_lanes += ProgramBatch::supported(
+        *Program::compile(strip_always(random_formula(b, 3))));
+  }
+  EXPECT_GE(program_lanes, 15u);  // 19 of 200 seeds
+  EXPECT_GE(checker_lanes, 10u);  // 13 of 200 seeds
 }
 
 // Boolean-only random formula for activation guards.
@@ -508,51 +516,62 @@ TEST_P(IrBackendParity, PruneSubsumptionImpliesVerdictOnRandomTraces) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, IrBackendParity, ::testing::Range(0, 200));
+INSTANTIATE_TEST_SUITE_P(Sweep, IrBackendParity,
+                         ::testing::Range(0, kParitySeeds));
 
 TEST(IrBackendParitySuites, SuitePropertiesAgreeOnRandomTraces) {
-  // Every suite property (the always-stripped body is what wrappers run, but
-  // here the full formula) stepped over shared random traces on both
-  // backends.
+  // Every suite property, as written and with its always chain stripped
+  // (what checkers run), stepped over random traces by its compiled program
+  // and, where the kernel accepts it, a lockstep lane, against
+  // reference_eval on every prefix.
   Rng rng(97);
+  size_t lane_runs = 0;
   models::PropertySuite suites[] = {models::des56_suite(),
                                     models::colorconv_suite()};
   for (const auto& suite : suites) {
     for (const auto& prop : suite.properties) {
-      const auto program = Program::compile(prop.formula);
-      for (int round = 0; round < 5; ++round) {
-        Trace trace;
-        psl::TimeNs time = 10;
-        const size_t len = rng.range(4, 20);
-        for (size_t i = 0; i < len; ++i) {
-          Observation o;
-          o.time = time;
-          for (const auto& name : psl::referenced_signals(prop.formula)) {
-            o.values.set(name, rng.below(4));
+      for (const ExprPtr& f : {prop.formula, strip_always(prop.formula)}) {
+        const auto program = Program::compile(f);
+        for (int round = 0; round < 5; ++round) {
+          Trace trace;
+          psl::TimeNs time = 10;
+          const size_t len = rng.range(4, 20);
+          for (size_t i = 0; i < len; ++i) {
+            Observation o;
+            o.time = time;
+            for (const auto& name : psl::referenced_signals(f)) {
+              o.values.set(name, rng.below(4));
+            }
+            trace.push_back(std::move(o));
+            time += 10;
           }
-          trace.push_back(std::move(o));
-          time += 10;
-        }
-        Instance interpreted(prop.formula);
-        Instance compiled(program);
-        bool resolved = false;
-        for (const auto& o : trace) {
-          const Event ev{o.time, &o.values};
-          const Verdict vi = interpreted.step(ev);
-          const Verdict vc = compiled.step(ev);
-          ASSERT_EQ(vc, vi) << suite.design << "." << prop.name;
-          if (vc != Verdict::kPending) {
-            resolved = true;
-            break;
+          Instance compiled(program);
+          const std::unique_ptr<Instance> lane = lane_instance(program);
+          if (lane != nullptr) ++lane_runs;
+          Verdict vc = Verdict::kPending;
+          for (size_t k = 0; k < trace.size() && vc == Verdict::kPending;
+               ++k) {
+            const Event ev{trace[k].time, &trace[k].values};
+            vc = compiled.step(ev);
+            const Trace prefix(trace.begin(), trace.begin() + k + 1);
+            ASSERT_EQ(vc, reference_eval(f, prefix, 0, /*complete=*/false))
+                << suite.design << "." << prop.name;
+            if (lane != nullptr) {
+              ASSERT_EQ(lane->step(ev), vc) << suite.design << "." << prop.name;
+            }
           }
-        }
-        if (!resolved) {
-          ASSERT_EQ(compiled.finish(), interpreted.finish())
+          if (vc != Verdict::kPending) continue;
+          ASSERT_EQ(compiled.finish(), reference_eval(f, trace, 0, true))
               << suite.design << "." << prop.name;
+          if (lane != nullptr) {
+            ASSERT_EQ(lane->finish(), compiled.verdict())
+                << suite.design << "." << prop.name;
+          }
         }
       }
     }
   }
+  EXPECT_GE(lane_runs, 40u);  // 55 runs
 }
 
 // ---- Anchor resolution and slot-bound atoms --------------------------------
@@ -609,10 +628,11 @@ std::vector<tlm::Snapshot> to_snapshots(const Trace& trace,
 // The anchor lemma behind the checkers' vacuous fast path (DESIGN.md §17):
 // whenever a guard-shaped body's derived antecedent is false at an anchor,
 // the body resolves kTrue at that anchor on every backend — the compiled
-// program (name path and slot-bound bits), the lockstep lane, the
-// interpreter and reference_eval.
+// program (name path and slot-bound bits), the lockstep lane and
+// reference_eval.
 TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
   size_t anchors = 0;
+  size_t lane_anchors = 0;
   for (int seed = 0; seed < 256; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 7919 + 3);
     const ExprPtr body = random_guarded(rng, 2);
@@ -633,9 +653,7 @@ TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
       ++anchors;
       SCOPED_TRACE(psl::to_string(body) + " @" + std::to_string(k));
       const Event ev{trace[k].time, &trace[k].values};
-      Instance interpreted(body);
       Instance compiled(program);
-      EXPECT_EQ(interpreted.step(ev), Verdict::kTrue);
       EXPECT_EQ(compiled.step(ev), Verdict::kTrue);
       const abv::ObservablesContext ctx(snaps[k]);
       const uint8_t* bits = table.load(ctx);
@@ -644,6 +662,7 @@ TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
       Instance slot_compiled(program);
       EXPECT_EQ(slot_compiled.step(slot_ev), Verdict::kTrue);
       if (ProgramBatch::supported(*program)) {
+        ++lane_anchors;
         auto block = std::make_shared<BatchState>(
             std::make_shared<const ProgramBatch>(program));
         Instance lane(block, block->allocate_lane());
@@ -657,63 +676,16 @@ TEST(IrAnchorLemma, FalseAntecedentResolvesTrueAtAnchorOnEveryBackend) {
     }
   }
   EXPECT_GE(anchors, 200u);  // the sweep exercised the lemma
+  EXPECT_GE(lane_anchors, 120u);  // 165 anchors
 }
-
-// Independent oracle for the checker's activation accounting: the counts a
-// full evaluation of every activation must produce, from reference_eval on
-// growing prefixes. The anchor fast path must reproduce them exactly.
-CheckerStats oracle_stats(const ExprPtr& body, const ExprPtr& guard,
-                          const Trace& trace) {
-  CheckerStats s;
-  s.events = trace.size();
-  const ExprPtr antecedent = derive_antecedent(body);
-  const uint64_t cost = psl::node_count(body);
-  for (size_t k = 0; k < trace.size(); ++k) {
-    if (guard && !eval_boolean(guard, trace[k].values)) continue;
-    ++s.activations;
-    Verdict v = Verdict::kPending;
-    size_t j = k;
-    for (; j < trace.size(); ++j) {
-      const Trace prefix(trace.begin(), trace.begin() + j + 1);
-      v = reference_eval(body, prefix, k, /*complete=*/false);
-      if (v != Verdict::kPending) break;
-    }
-    if (v == Verdict::kPending) {
-      s.steps += trace.size() - k;
-      v = reference_eval(body, trace, k, /*complete=*/true);
-    } else {
-      s.steps += j - k + 1;
-      if (j == k) ++s.trivial;
-    }
-    if (v == Verdict::kTrue) {
-      ++s.holds;
-      const bool exercised =
-          antecedent == nullptr || eval_boolean(antecedent, trace[k].values);
-      ++(exercised ? s.real_passes : s.vacuous_passes);
-    } else if (v == Verdict::kFalse) {
-      ++s.failures;
-    } else {
-      ++s.uncompleted;
-    }
-  }
-  s.node_visits = s.steps * cost;
-  return s;
-}
-
-void expect_same_stats(const CheckerStats& a, const CheckerStats& b,
-                       const std::string& what);
 
 // The checker-level consequence of the lemma: activations resolved at the
 // anchor without an instance count exactly what stepping one would, on
-// every backend and on both the slot-bound and the name path.
+// both backends (scalar and lane-backed programs) and on both the slot-bound
+// and the name path.
 TEST(IrAnchorLemma, CheckerCountsMatchReferenceOracle) {
-  CheckerOptions interp_opts;
-  interp_opts.compiled = false;
-  CheckerOptions scalar_opts;
-  scalar_opts.vectorized = false;
-  const CheckerOptions vector_opts;
-  const CheckerOptions backends[] = {interp_opts, scalar_opts, vector_opts};
   uint64_t vacuous = 0;
+  size_t lane_checkers = 0;
   for (int seed = 0; seed < 200; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 65537 + 29);
     ExprPtr body =
@@ -723,23 +695,25 @@ TEST(IrAnchorLemma, CheckerCountsMatchReferenceOracle) {
     const ExprPtr guard = rng.chance(1, 3) ? random_guard(rng, 1) : nullptr;
     const Trace trace = random_trace(rng, 14);
     const std::vector<tlm::Snapshot> snaps = to_snapshots(trace, {"a", "b", "c"});
-    const CheckerStats want = oracle_stats(body, guard, trace);
+    // The independent oracle for the activation accounting (the anchor fast
+    // path must reproduce a full evaluation of every activation).
+    const CheckerStats want = oracle_run(body, guard, trace).stats;
     vacuous += want.vacuous_passes;
     const std::string what = psl::to_string(body);
-    for (const CheckerOptions& opts : backends) {
-      PropertyChecker by_name("p", psl::always(body), guard, opts);
-      PropertyChecker by_slot("p", psl::always(body), guard, opts);
-      for (size_t k = 0; k < trace.size(); ++k) {
-        by_name.on_event(trace[k].time, trace[k].values);
-        by_slot.on_event(trace[k].time, abv::ObservablesContext(snaps[k]));
-      }
-      by_name.finish();
-      by_slot.finish();
-      expect_same_stats(by_name.stats(), want, what);
-      expect_same_stats(by_slot.stats(), want, what);
+    PropertyChecker by_name("p", psl::always(body), guard);
+    PropertyChecker by_slot("p", psl::always(body), guard);
+    lane_checkers += ProgramBatch::supported(*by_name.program());
+    for (size_t k = 0; k < trace.size(); ++k) {
+      by_name.on_event(trace[k].time, trace[k].values);
+      by_slot.on_event(trace[k].time, abv::ObservablesContext(snaps[k]));
     }
+    by_name.finish();
+    by_slot.finish();
+    expect_same_stats(by_name.stats(), want, what);
+    expect_same_stats(by_slot.stats(), want, what);
   }
   EXPECT_GE(vacuous, 200u);  // the fast path was taken
+  EXPECT_GE(lane_checkers, 30u);  // 39 of 200 seeds
 }
 
 void expect_same_stats(const CheckerStats& a, const CheckerStats& b,
@@ -840,20 +814,6 @@ std::vector<std::pair<ExprPtr, Abc>> fixpoint_family() {
   return out;
 }
 
-struct Resolution {
-  Verdict verdict = Verdict::kPending;
-  size_t at = 0;     // index of the resolving event (trace size if none)
-  uint64_t steps = 0;
-  bool operator==(const Resolution& o) const {
-    return verdict == o.verdict && at == o.at && steps == o.steps;
-  }
-};
-
-std::ostream& operator<<(std::ostream& os, const Resolution& r) {
-  return os << "{verdict " << static_cast<int>(r.verdict) << ", at " << r.at
-            << ", steps " << r.steps << "}";
-}
-
 // Steps one instance anchored at `k` to resolution or to the end of the
 // trace, then finishes it.
 Resolution run_instance(Instance& inst, const Trace& trace, size_t k) {
@@ -872,37 +832,10 @@ Resolution run_instance(Instance& inst, const Trace& trace, size_t k) {
   return r;
 }
 
-// reference_eval on each growing prefix, for every anchor at once: the
-// first prefix whose verdict is decided is the resolution event.
-std::vector<Resolution> reference_resolutions(const ExprPtr& f,
-                                              const Trace& trace) {
-  std::vector<Resolution> out(trace.size());
-  Trace prefix;
-  for (size_t j = 0; j < trace.size(); ++j) {
-    prefix.push_back(trace[j]);
-    out[j].at = trace.size();
-    for (size_t k = 0; k <= j; ++k) {
-      if (out[k].at != trace.size()) continue;
-      ++out[k].steps;
-      const Verdict v = reference_eval(f, prefix, k, /*complete=*/false);
-      if (v != Verdict::kPending) {
-        out[k].verdict = v;
-        out[k].at = j;
-      }
-    }
-  }
-  for (size_t k = 0; k < trace.size(); ++k) {
-    if (out[k].at == trace.size()) {
-      out[k].verdict = reference_eval(f, trace, k, /*complete=*/true);
-    }
-  }
-  return out;
-}
-
-// Compiled program, interpreter and reference_eval agree on the verdict,
-// the resolution event and the step count of every anchor, over pending
-// runs of 64+ events and with instances still open when the trace ends. A
-// checker over `always f` on both backends adds up the same session counts.
+// Compiled program and reference_eval agree on the verdict, the resolution
+// event and the step count of every anchor, over pending runs of 64+ events
+// and with instances still open when the trace ends. A checker over
+// `always f` adds up the same session counts.
 TEST(IrFixpointParity, LongPendingRunsAgreeOnEveryBackend) {
   const auto family = fixpoint_family();
   for (size_t fi = 0; fi < family.size(); ++fi) {
@@ -917,12 +850,9 @@ TEST(IrFixpointParity, LongPendingRunsAgreeOnEveryBackend) {
       size_t open_at_end = 0;
       uint64_t longest = 0;
       for (size_t k = 0; k < trace.size(); ++k) {
-        Instance interpreted(f);
         Instance compiled(program);
-        const Resolution ri = run_instance(interpreted, trace, k);
         const Resolution rc = run_instance(compiled, trace, k);
         ASSERT_EQ(rc, want[k]) << "compiled, anchor " << k;
-        ASSERT_EQ(ri, want[k]) << "interpreter, anchor " << k;
         if (rc.at == trace.size()) ++open_at_end;
         longest = std::max(longest, rc.steps);
         sum.steps += rc.steps;
@@ -938,20 +868,16 @@ TEST(IrFixpointParity, LongPendingRunsAgreeOnEveryBackend) {
       }
       EXPECT_GE(open_at_end, 1u);
       EXPECT_GE(longest, 64u);
-      CheckerOptions interp_opts;
-      interp_opts.compiled = false;
-      for (const CheckerOptions& opts : {interp_opts, CheckerOptions{}}) {
-        PropertyChecker checker("p", psl::always(f), nullptr, opts);
-        for (const Observation& o : trace) checker.on_event(o.time, o.values);
-        checker.finish();
-        const CheckerStats& got = checker.stats();
-        EXPECT_EQ(got.activations, trace.size());
-        EXPECT_EQ(got.steps, sum.steps);
-        EXPECT_EQ(got.trivial, sum.trivial);
-        EXPECT_EQ(got.uncompleted, sum.uncompleted);
-        EXPECT_EQ(got.holds, sum.holds);
-        EXPECT_EQ(got.failures, sum.failures);
-      }
+      PropertyChecker checker("p", psl::always(f), nullptr);
+      for (const Observation& o : trace) checker.on_event(o.time, o.values);
+      checker.finish();
+      const CheckerStats& got = checker.stats();
+      EXPECT_EQ(got.activations, trace.size());
+      EXPECT_EQ(got.steps, sum.steps);
+      EXPECT_EQ(got.trivial, sum.trivial);
+      EXPECT_EQ(got.uncompleted, sum.uncompleted);
+      EXPECT_EQ(got.holds, sum.holds);
+      EXPECT_EQ(got.failures, sum.failures);
     }
   }
 }
@@ -959,15 +885,10 @@ TEST(IrFixpointParity, LongPendingRunsAgreeOnEveryBackend) {
 // Slot-bound atoms are a pure speed-up: unabstracted and abstracted
 // checkers fed the same events through a positional dictionary (in a
 // scrambled slot order, with an extra unused observable) or by name reach
-// byte-identical stats, latency histograms and failure logs on every
-// backend.
+// byte-identical stats, latency histograms and failure logs, scalar and
+// lane-backed alike.
 TEST(IrSlotBinding, SlotAndNamePathsAgreeOnEveryBackend) {
-  CheckerOptions interp_opts;
-  interp_opts.compiled = false;
-  CheckerOptions scalar_opts;
-  scalar_opts.vectorized = false;
-  const CheckerOptions vector_opts;
-  const CheckerOptions backends[] = {interp_opts, scalar_opts, vector_opts};
+  size_t lane_checkers = 0;
   for (int seed = 0; seed < 200; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 104729 + 17);
     const ExprPtr body =
@@ -978,38 +899,38 @@ TEST(IrSlotBinding, SlotAndNamePathsAgreeOnEveryBackend) {
     const std::vector<tlm::Snapshot> snaps =
         to_snapshots(trace, {"b", "zz", "c", "a"});
     const std::string what = psl::to_string(formula);
-    for (const CheckerOptions& opts : backends) {
-      PropertyChecker by_name("p", formula, guard, opts);
-      PropertyChecker by_slot("p", formula, guard, opts);
-      PropertyChecker w_name({"q", formula, {guard}}, 10, opts);
-      PropertyChecker w_slot({"q", formula, {guard}}, 10, opts);
-      for (size_t k = 0; k < trace.size(); ++k) {
-        const abv::ObservablesContext ctx(snaps[k]);
-        by_name.on_event(trace[k].time, trace[k].values);
-        by_slot.on_event(trace[k].time, ctx);
-        w_name.on_event(trace[k].time, trace[k].values);
-        w_slot.on_event(trace[k].time, ctx);
-      }
-      by_name.finish();
-      by_slot.finish();
-      w_name.finish();
-      w_slot.finish();
-      EXPECT_TRUE(by_slot.binding_error().empty()) << by_slot.binding_error();
-      expect_same_stats(by_name.stats(), by_slot.stats(), what);
-      expect_same_wrapper_stats(w_name.stats(), w_slot.stats(), what);
-      EXPECT_EQ(by_name.latency_histogram().counts(),
-                by_slot.latency_histogram().counts())
+    PropertyChecker by_name("p", formula, guard);
+    PropertyChecker by_slot("p", formula, guard);
+    PropertyChecker w_name({"q", formula, {guard}}, 10);
+    PropertyChecker w_slot({"q", formula, {guard}}, 10);
+    lane_checkers += ProgramBatch::supported(*by_name.program());
+    for (size_t k = 0; k < trace.size(); ++k) {
+      const abv::ObservablesContext ctx(snaps[k]);
+      by_name.on_event(trace[k].time, trace[k].values);
+      by_slot.on_event(trace[k].time, ctx);
+      w_name.on_event(trace[k].time, trace[k].values);
+      w_slot.on_event(trace[k].time, ctx);
+    }
+    by_name.finish();
+    by_slot.finish();
+    w_name.finish();
+    w_slot.finish();
+    EXPECT_TRUE(by_slot.binding_error().empty()) << by_slot.binding_error();
+    expect_same_stats(by_name.stats(), by_slot.stats(), what);
+    expect_same_wrapper_stats(w_name.stats(), w_slot.stats(), what);
+    EXPECT_EQ(by_name.latency_histogram().counts(),
+              by_slot.latency_histogram().counts())
+        << what;
+    EXPECT_EQ(w_name.latency_histogram().counts(),
+              w_slot.latency_histogram().counts())
+        << what;
+    ASSERT_EQ(w_name.failures().size(), w_slot.failures().size()) << what;
+    for (size_t i = 0; i < w_name.failures().size(); ++i) {
+      EXPECT_EQ(w_name.failures()[i].time, w_slot.failures()[i].time)
           << what;
-      EXPECT_EQ(w_name.latency_histogram().counts(),
-                w_slot.latency_histogram().counts())
-          << what;
-      ASSERT_EQ(w_name.failures().size(), w_slot.failures().size()) << what;
-      for (size_t i = 0; i < w_name.failures().size(); ++i) {
-        EXPECT_EQ(w_name.failures()[i].time, w_slot.failures()[i].time)
-            << what;
-      }
     }
   }
+  EXPECT_GE(lane_checkers, 24u);  // 31 of 200 seeds
 }
 
 TEST(IrSlotBinding, RebindsWhenTheDictionaryChanges) {
@@ -1246,54 +1167,6 @@ TEST(IrRoundTrip, RandomFormulasSurviveParsePrintParse) {
         table.intern(psl::parse_expr(psl::to_string(formula)).value());
     EXPECT_EQ(a, b) << psl::to_string(formula);
   }
-}
-
-// ---- Backend-equivalence golden runs --------------------------------------------
-
-// Runs the whole TLM-AT flow with the compiled and interpreter backends and
-// requires bit-identical verification results: an empty Report::diff and a
-// byte-identical JSON report (timing excluded). Covers both designs at
-// jobs=1 and jobs=4.
-void expect_backends_equivalent(models::Design design, size_t workload,
-                                size_t jobs) {
-  models::RunConfig config;
-  config.design = design;
-  config.level = models::Level::kTlmAt;
-  config.workload = workload;
-  config.checkers = 99;  // whole suite (clamped)
-  config.engine.jobs = jobs;
-
-  config.compiled_checkers = true;
-  const models::RunResult compiled = models::run_simulation(config);
-  EXPECT_TRUE(compiled.functional_ok);
-  EXPECT_TRUE(compiled.properties_ok);
-
-  config.compiled_checkers = false;
-  const models::RunResult interp = models::run_simulation(config);
-  EXPECT_TRUE(interp.functional_ok);
-
-  EXPECT_TRUE(compiled.report.diff(interp.report).empty());
-  std::ostringstream a;
-  std::ostringstream b;
-  compiled.report.write_json(a, nullptr);
-  interp.report.write_json(b, nullptr);
-  EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(IrBackendEquivalence, Des56TlmAtSerial) {
-  expect_backends_equivalent(models::Design::kDes56, 60, 1);
-}
-
-TEST(IrBackendEquivalence, Des56TlmAtSharded) {
-  expect_backends_equivalent(models::Design::kDes56, 60, 4);
-}
-
-TEST(IrBackendEquivalence, ColorConvTlmAtSerial) {
-  expect_backends_equivalent(models::Design::kColorConv, 600, 1);
-}
-
-TEST(IrBackendEquivalence, ColorConvTlmAtSharded) {
-  expect_backends_equivalent(models::Design::kColorConv, 600, 4);
 }
 
 }  // namespace

@@ -532,8 +532,6 @@ TEST(MetricsDeterminism, WrapperMetricsCoverAbstractedPropertiesOnly) {
     ASSERT_TRUE(r.functional_ok);
     const bool at = level == models::Level::kTlmAt;
     EXPECT_EQ(r.metrics.histograms.count("wrapper.latency_ns"), at ? 1u : 0u);
-    EXPECT_EQ(r.metrics.gauges.at("checker.compiled_wrappers"),
-              at ? r.report.properties().size() : 0u);
     EXPECT_EQ(r.metrics.gauges.at("checker.program_nodes") > 0, at);
     EXPECT_EQ(r.metrics.gauges.at("wrapper.pool_capacity") > 0, at);
     EXPECT_EQ(r.metrics.gauges.at("wrapper.table_peak") > 0, at);

@@ -365,9 +365,10 @@ TEST(RecordPass, AMissingObservableFailsOnlyThePropertiesThatReadIt) {
   checker::RecordPass pass;
   checker::ActivationLogic reads_x;
   checker::ActivationLogic reads_a;
-  reads_x.reset(pass.atoms(), "px", nullptr, psl::sig("a"), psl::sig("x"),
-                nullptr);
-  reads_a.reset(pass.atoms(), "pa", nullptr, psl::sig("a"), nullptr, nullptr);
+  const psl::ExprPtr body = psl::sig("a");
+  const auto program = checker::Program::compile(body);
+  reads_x.reset(pass.atoms(), "px", *program, body, psl::sig("x"), nullptr);
+  reads_a.reset(pass.atoms(), "pa", *program, body, nullptr, nullptr);
   auto keys = std::make_shared<const tlm::Snapshot::Keys>(
       tlm::Snapshot::Keys{"a"});
   tlm::Snapshot snap(keys);

@@ -1,12 +1,11 @@
-// Vectorized-backend tests: the 64-wide lockstep kernel (checker/batch.h),
-// lane lifecycle, staggered/ragged deadline cohorts through the wrapper and
-// the PropertyChecker active list, and byte-identical JSON reports with
-// vectorization on and off at jobs 1 and 4 on both designs.
+// Lockstep-lane tests: the 64-wide kernel (checker/batch.h), lane
+// lifecycle, staggered and ragged dense cohorts through PropertyChecker
+// against the reference oracle, the per-program lane choice, and the lane
+// telemetry of whole runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "checker/instance.h"
 #include "checker/program.h"
 #include "checker/trace.h"
+#include "checker_oracle.h"
 #include "models/testbench.h"
 #include "psl/ast.h"
 #include "psl/parser.h"
@@ -42,17 +42,20 @@ psl::TlmProperty tlm_prop(const std::string& text) {
 // ---- Support predicate ----------------------------------------------------------
 
 TEST(VectorBatch, SupportedExactlyWhenFrameFree) {
-  // Frame-free: boolean layer, next, next_e, abort.
+  // Frame-free, next_e-free temporal bodies: boolean layer, next, abort.
   for (const char* text :
-       {"a", "!a && (b || c)", "a -> next[3](b)", "next_e[1,40](a)",
-        "(a -> next_e[1,40](b)) abort c", "next[2](next_e[1,20](a && b))"}) {
+       {"a -> next[3](b)", "!a && (b || next[1](c))", "a abort c",
+        "(a -> next[4](b)) abort c", "next[2](next[1](a && b))"}) {
     const auto program = Program::compile(parse(text));
     EXPECT_TRUE(ProgramBatch::supported(*program)) << text;
   }
-  // Dynamic (frame-spawning) operators force the scalar fallback.
+  // Dynamic (frame-spawning) operators, time-scheduled next_e and purely
+  // boolean bodies (resolved at the anchor, never pending) keep the scalar
+  // form.
   for (const char* text :
-       {"a until b", "a until! b", "a release b", "always a", "eventually! a",
-        "next_e[1,40](a until b)"}) {
+       {"a", "!a && (b || c)", "a until b", "a until! b", "a release b", "always a", "eventually! a",
+        "next_e[1,40](a until b)", "next_e[1,40](a)",
+        "(a -> next_e[1,40](b)) abort c", "next[2](next_e[1,20](a && b))"}) {
     const auto program = Program::compile(parse(text));
     EXPECT_FALSE(ProgramBatch::supported(*program)) << text;
   }
@@ -62,7 +65,8 @@ TEST(VectorBatch, SupportedExactlyWhenFrameFree) {
 
 TEST(VectorBatch, LaneAllocationIsLowestFreeAndExhaustsAtSixtyFour) {
   auto block = std::make_shared<BatchState>(
-      std::make_shared<const ProgramBatch>(Program::compile(parse("a"))));
+      std::make_shared<const ProgramBatch>(
+          Program::compile(parse("next[1](a)"))));
   for (uint32_t i = 0; i < BatchState::kLanes; ++i) {
     ASSERT_TRUE(block->has_free_lane());
     EXPECT_EQ(block->allocate_lane(), i);
@@ -76,9 +80,8 @@ TEST(VectorBatch, LaneAllocationIsLowestFreeAndExhaustsAtSixtyFour) {
 
 // ---- Lockstep kernel parity -----------------------------------------------------
 
-// Random frame-free formulas only: the vectorizable subset (boolean layer,
-// next, next_e, abort). The dynamic operators have their own fallback path
-// and are swept three-way in ir_test.cc.
+// Random formulas of the subset that gets lanes (boolean layer, next,
+// abort). The rest keeps the scalar form and is swept in ir_test.cc.
 ExprPtr random_supported_formula(Rng& rng, int depth) {
   const char* signals[] = {"a", "b", "c"};
   if (depth <= 0 || rng.chance(1, 3)) {
@@ -93,7 +96,7 @@ ExprPtr random_supported_formula(Rng& rng, int depth) {
         return psl::cmp(signals[rng.below(3)], psl::CmpOp::kGe, rng.below(3));
     }
   }
-  switch (rng.below(6)) {
+  switch (rng.below(5)) {
     case 0:
       return psl::and_(random_supported_formula(rng, depth - 1),
                        random_supported_formula(rng, depth - 1));
@@ -106,13 +109,18 @@ ExprPtr random_supported_formula(Rng& rng, int depth) {
     case 3:
       return psl::next(static_cast<uint32_t>(rng.range(1, 3)),
                        random_supported_formula(rng, depth - 1));
-    case 4:
-      return psl::next_eps(1, rng.range(1, 5) * 10,
-                           random_supported_formula(rng, depth - 1));
     default:
       return psl::abort_(random_supported_formula(rng, depth - 1),
                          psl::sig(signals[rng.below(3)]), rng.chance(1, 2));
   }
+}
+
+// A random formula that gets lanes: a purely boolean draw goes under a
+// next, since a boolean body resolves at its anchor and keeps the scalar
+// form.
+ExprPtr random_lane_formula(Rng& rng, int depth) {
+  const ExprPtr f = random_supported_formula(rng, depth);
+  return psl::is_boolean(f) ? psl::next(1, f) : f;
 }
 
 Trace random_trace(Rng& rng, size_t max_len) {
@@ -135,12 +143,11 @@ class VectorLockstep : public ::testing::TestWithParam<int> {};
 
 // Staggered cohorts: lane i anchors at event i, so every event advances a
 // word whose lanes sit at different phases of the formula. Each event is
-// primed once for the whole live mask (the wrapper's cohort path) and every
-// lane must match its scalar compiled twin step for step, deadline for
-// deadline, through finish.
+// primed once for the whole live mask (the checker's cohort path) and every
+// lane must match its scalar compiled twin step for step through finish.
 TEST_P(VectorLockstep, StaggeredCohortMatchesScalar) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 9176 + 11);
-  const ExprPtr formula = random_supported_formula(rng, 3);
+  const ExprPtr formula = random_lane_formula(rng, 3);
   const Trace trace = random_trace(rng, 20);
   const auto program = Program::compile(formula);
   ASSERT_TRUE(ProgramBatch::supported(*program));
@@ -150,7 +157,6 @@ TEST_P(VectorLockstep, StaggeredCohortMatchesScalar) {
   const size_t lanes = std::min<size_t>(trace.size(), 16);
   std::vector<std::unique_ptr<Instance>> vec(lanes);
   std::vector<std::unique_ptr<Instance>> ref(lanes);
-  std::vector<psl::TimeNs> scratch;
 
   for (size_t k = 0; k < trace.size(); ++k) {
     const Event ev{trace[k].time, &trace[k].values};
@@ -173,8 +179,6 @@ TEST_P(VectorLockstep, StaggeredCohortMatchesScalar) {
       ASSERT_EQ(vv, vr) << "lane " << i << " diverged on "
                         << psl::to_string(formula) << "\nprefix length: "
                         << k + 1;
-      ASSERT_EQ(vec[i]->next_deadline(scratch), ref[i]->next_deadline(scratch))
-          << "lane " << i << ": " << psl::to_string(formula);
     }
   }
   for (size_t i = 0; i < lanes; ++i) {
@@ -186,7 +190,7 @@ TEST_P(VectorLockstep, StaggeredCohortMatchesScalar) {
 
 TEST_P(VectorLockstep, RecycledLaneBehavesLikeFresh) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 40277 + 3);
-  const ExprPtr formula = random_supported_formula(rng, 3);
+  const ExprPtr formula = random_lane_formula(rng, 3);
   const Trace first = random_trace(rng, 8);
   const Trace second = random_trace(rng, 8);
   const auto program = Program::compile(formula);
@@ -221,231 +225,190 @@ TEST_P(VectorLockstep, RecycledLaneBehavesLikeFresh) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, VectorLockstep, ::testing::Range(0, 60));
 
-// ---- Wrapper cohorts ------------------------------------------------------------
 
-MapContext handshake(bool ds, bool rdy, bool err = false) {
-  MapContext values;
-  values.set("ds", ds ? 1 : 0);
-  values.set("rdy", rdy ? 1 : 0);
-  values.set("err", err ? 1 : 0);
-  return values;
+// ---- Checker cohorts ------------------------------------------------------------
+
+Observation handshake(psl::TimeNs time, bool ds, bool rdy, bool err = false) {
+  Observation o;
+  o.time = time;
+  o.values.set("ds", ds ? 1 : 0);
+  o.values.set("rdy", rdy ? 1 : 0);
+  o.values.set("err", err ? 1 : 0);
+  return o;
 }
 
-void expect_same_outcome(const CheckerStats& v, const CheckerStats& s) {
-  EXPECT_EQ(v.events, s.events);
-  EXPECT_EQ(v.activations, s.activations);
-  EXPECT_EQ(v.failures, s.failures);
-  EXPECT_EQ(v.holds, s.holds);
-  EXPECT_EQ(v.trivial, s.trivial);
-  EXPECT_EQ(v.uncompleted, s.uncompleted);
-  EXPECT_EQ(v.reuses, s.reuses);
-  EXPECT_EQ(v.steps, s.steps);
-  // Coverage telemetry must be byte-identical across backends too.
-  EXPECT_EQ(v.real_passes, s.real_passes);
-  EXPECT_EQ(v.vacuous_passes, s.vacuous_passes);
-  EXPECT_EQ(v.missed_deadlines, s.missed_deadlines);
-  EXPECT_EQ(v.node_visits, s.node_visits);
+void drive(PropertyChecker& checker, const Trace& trace) {
+  for (const Observation& o : trace) checker.on_event(o.time, o.values);
+  checker.finish();
 }
 
-void expect_same_failures(const PropertyChecker& v,
-                          const PropertyChecker& s) {
-  ASSERT_EQ(v.failures().size(), s.failures().size());
-  for (size_t i = 0; i < v.failures().size(); ++i) {
-    EXPECT_EQ(v.failures()[i].time, s.failures()[i].time) << i;
+// The checker's counts and failure log against the reference oracle of its
+// always-stripped `body`. A time-scheduled (abstracted next_e) checker steps
+// its instances only at their deadlines, so its step counts are not the
+// oracle's dense ones and are skipped.
+void expect_matches_oracle(const PropertyChecker& checker,
+                           const ExprPtr& body, const Trace& trace,
+                           bool scheduled = false) {
+  const oracle::OracleRun want = oracle::oracle_run(body, nullptr, trace);
+  const CheckerStats& got = checker.stats();
+  EXPECT_EQ(got.events, want.stats.events);
+  EXPECT_EQ(got.activations, want.stats.activations);
+  EXPECT_EQ(got.failures, want.stats.failures);
+  EXPECT_EQ(got.holds, want.stats.holds);
+  EXPECT_EQ(got.trivial, want.stats.trivial);
+  EXPECT_EQ(got.uncompleted, want.stats.uncompleted);
+  EXPECT_EQ(got.real_passes, want.stats.real_passes);
+  EXPECT_EQ(got.vacuous_passes, want.stats.vacuous_passes);
+  if (!scheduled) {
+    EXPECT_EQ(got.steps, want.stats.steps);
+    EXPECT_EQ(got.node_visits, want.stats.node_visits);
+    EXPECT_EQ(got.missed_deadlines, 0u);
   }
+  std::vector<psl::TimeNs> times;
+  for (const Failure& f : checker.failures()) times.push_back(f.time);
+  std::vector<psl::TimeNs> want_times = want.failure_times;
+  want_times.resize(std::min(want_times.size(), times.size()));
+  EXPECT_EQ(times.size(), std::min(want.failure_times.size(),
+                                   checker.options().failure_log_cap));
+  EXPECT_EQ(times, want_times);
 }
 
-// A long silent gap makes every scheduled instance's deadline pass at once;
-// the wrapper pops the whole missed cohort on the next transaction and the
-// vectorized backend must prime it as one multi-lane batch.
-TEST(VectorWrapper, MissedDeadlineCohortMatchesScalar) {
-  const psl::TlmProperty p =
-      tlm_prop("w: always (!ds || next_e[1,100](rdy)) @Tb");
-  CheckerOptions vec_opts;
-  vec_opts.vectorized = true;
-  CheckerOptions scalar_opts;
-  scalar_opts.vectorized = false;
-  PropertyChecker vec(p, 10, vec_opts);
-  PropertyChecker scalar(p, 10, scalar_opts);
-  auto feed = [&](psl::TimeNs t, bool ds, bool rdy) {
-    vec.on_event(t, handshake(ds, rdy));
-    scalar.on_event(t, handshake(ds, rdy));
-  };
-  // Ten activations 10 ns apart, none ever answered...
-  for (psl::TimeNs t = 10; t <= 100; t += 10) feed(t, true, false);
-  // ...then a gap past every deadline: the missed cohort pops together.
-  feed(700, false, false);
-  for (psl::TimeNs t = 710; t <= 760; t += 10) feed(t, true, false);
-  vec.finish();
-  scalar.finish();
-
-  EXPECT_GT(vec.stats().failures, 0u);
-  expect_same_outcome(vec.stats(), scalar.stats());
-  expect_same_failures(vec, scalar);
-  EXPECT_GT(vec.stats().vector_batches, 0u);
-  EXPECT_GT(vec.stats().vector_lanes_filled, vec.stats().vector_batches);
-  EXPECT_EQ(scalar.stats().vector_batches, 0u);
-}
-
-// An abort-carrying property is unbounded, so its instances live on the
-// dense list and all of them see every transaction. Holding >64 of them
-// pending at once spills into multiple lane blocks and primes a ragged
-// 64/64/22 cohort per transaction.
+// An unabstracted next/abort property keeps every pending session on the
+// dense list. Holding >64 of them pending at once spills into multiple lane
+// blocks and primes a ragged 64/64/22 cohort per event.
 TEST(VectorWrapper, RaggedDenseCohortsAcrossMultipleBlocks) {
-  const psl::TlmProperty p =
-      tlm_prop("w: always ((!ds || next_e[1,5000](rdy)) abort err) @Tb");
-  CheckerOptions vec_opts;
-  vec_opts.vectorized = true;
-  CheckerOptions scalar_opts;
-  scalar_opts.vectorized = false;
-  PropertyChecker vec(p, 10, vec_opts);
-  PropertyChecker scalar(p, 10, scalar_opts);
-  auto feed = [&](psl::TimeNs t, bool ds, bool rdy, bool err) {
-    vec.on_event(t, handshake(ds, rdy, err));
-    scalar.on_event(t, handshake(ds, rdy, err));
-  };
+  const ExprPtr body = parse("(!ds || next[400](rdy)) abort err");
+  PropertyChecker checker("w", psl::always(body), nullptr);
+  Trace trace;
   // 150 concurrent pending sessions: three lane blocks, ragged tail.
-  for (psl::TimeNs t = 10; t <= 1500; t += 10) feed(t, true, false, false);
+  for (psl::TimeNs t = 10; t <= 1500; t += 10) {
+    trace.push_back(handshake(t, true, false));
+  }
   // Aborting discharges every pending session at once.
-  feed(1510, false, false, true);
+  trace.push_back(handshake(1510, false, false, true));
   // A second wave exercises block/lane reuse after the mass retirement.
-  for (psl::TimeNs t = 1520; t <= 1600; t += 10) feed(t, true, false, false);
-  vec.finish();
-  scalar.finish();
+  for (psl::TimeNs t = 1520; t <= 1600; t += 10) {
+    trace.push_back(handshake(t, true, false));
+  }
+  drive(checker, trace);
 
-  expect_same_outcome(vec.stats(), scalar.stats());
-  expect_same_failures(vec, scalar);
-  EXPECT_GT(vec.stats().vector_batches, 0u);
-  // With 150 live lanes a single transaction fills two full words plus a
-  // ragged third; well over 64 lanes must have gone through prime().
-  EXPECT_GT(vec.stats().vector_lanes_filled, 64u);
-  EXPECT_EQ(scalar.stats().vector_lanes_filled, 0u);
+  expect_matches_oracle(checker, body, trace);
+  EXPECT_EQ(checker.stats().lane_blocks, 3u);
+  EXPECT_GT(checker.stats().vector_batches, 0u);
+  // With 150 live lanes a single event fills two full words plus a ragged
+  // third; well over 64 lanes must have gone through prime().
+  EXPECT_GT(checker.stats().vector_lanes_filled, 64u);
 }
 
 // Each multi-lane prime emits one "vector_batch" span carrying the lane
 // count (what tools/validate_trace.py checks for nesting and args.lanes).
 TEST(VectorWrapper, MultiLanePrimesEmitTraceSpans) {
-  const psl::TlmProperty p =
-      tlm_prop("w: always (!ds || next_e[1,100](rdy)) @Tb");
   support::TraceSink sink;
-  PropertyChecker wrapper(p, 10);
-  wrapper.set_trace(&sink, 3);
-  // Same missed-deadline shape as above: a cohort pops after the gap.
+  PropertyChecker checker("w", parse("always (!ds || next[10](rdy))"),
+                          nullptr);
+  checker.set_trace(&sink, 3);
+  // Every event anchors a session that stays pending for ten events, so
+  // from the third event on a cohort of lanes is stepped together.
+  Trace trace;
   for (psl::TimeNs t = 10; t <= 100; t += 10) {
-    wrapper.on_event(t, handshake(true, false));
+    trace.push_back(handshake(t, true, false));
   }
-  wrapper.on_event(700, handshake(false, false));
-  wrapper.finish();
-  ASSERT_GT(wrapper.stats().vector_batches, 0u);
+  drive(checker, trace);
+  ASSERT_GT(checker.stats().vector_batches, 0u);
 
   std::ostringstream os;
   sink.write(os);
-  const std::string trace = os.str();
-  EXPECT_NE(trace.find("\"vector_batch\""), std::string::npos);
-  EXPECT_NE(trace.find("\"lanes\""), std::string::npos);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("\"vector_batch\""), std::string::npos);
+  EXPECT_NE(text.find("\"lanes\""), std::string::npos);
 }
 
 // Mixed-deadline regression: activations at irregular spacing give each
-// transaction a cohort mixing just-due, long-overdue and freshly anchored
-// lanes. eps == 0 re-dues (the double-step pathology) stay on the scalar
-// bookkeeping path via lane self-priming.
+// transaction a mix of just-due, long-overdue and freshly anchored
+// instances. A next_e program keeps the scalar form: no lane block, and the
+// table-driven verdicts match the reference oracle.
 TEST(VectorWrapper, MixedDeadlineStreamMatchesScalar) {
   const psl::TlmProperty p =
       tlm_prop("w: always (!ds || next_e[1,40](rdy)) @Tb");
-  CheckerOptions vec_opts;
-  vec_opts.vectorized = true;
-  CheckerOptions scalar_opts;
-  scalar_opts.vectorized = false;
-  PropertyChecker vec(p, 10, vec_opts);
-  PropertyChecker scalar(p, 10, scalar_opts);
+  PropertyChecker wrapper(p, 10);
   Rng rng(20260809);
+  Trace trace;
   psl::TimeNs t = 10;
   for (int i = 0; i < 400; ++i) {
     const bool ds = rng.chance(2, 3);
     const bool rdy = rng.chance(1, 3);
-    vec.on_event(t, handshake(ds, rdy));
-    scalar.on_event(t, handshake(ds, rdy));
+    trace.push_back(handshake(t, ds, rdy));
     // Mostly dense traffic with occasional deadline-skipping jumps.
     t += rng.chance(1, 10) ? 10 * rng.range(5, 30) : 10 * rng.range(1, 3);
   }
-  vec.finish();
-  scalar.finish();
-  EXPECT_GT(vec.stats().activations, 0u);
-  expect_same_outcome(vec.stats(), scalar.stats());
-  expect_same_failures(vec, scalar);
+  drive(wrapper, trace);
+  EXPECT_GT(wrapper.stats().activations, 0u);
+  EXPECT_GT(wrapper.stats().missed_deadlines, 0u);
+  EXPECT_EQ(wrapper.stats().lane_blocks, 0u);
+  EXPECT_EQ(wrapper.stats().vector_batches, 0u);
+  expect_matches_oracle(wrapper, p.formula->lhs, trace, /*scheduled=*/true);
 }
 
 // ---- PropertyChecker active list -------------------------------------------------
 
 TEST(VectorChecker, ActiveListCohortMatchesScalar) {
-  const ExprPtr formula = parse("always (!a || next[8](b))");
-  CheckerOptions vec_opts;
-  vec_opts.vectorized = true;
-  CheckerOptions scalar_opts;
-  scalar_opts.vectorized = false;
-  PropertyChecker vec("v", formula, nullptr, vec_opts);
-  PropertyChecker scalar("s", formula, nullptr, scalar_opts);
+  const ExprPtr body = parse("!a || next[8](b)");
+  PropertyChecker checker("v", psl::always(body), nullptr);
   Rng rng(77);
+  Trace trace;
   for (psl::TimeNs t = 10; t <= 2000; t += 10) {
-    MapContext values;
-    values.set("a", rng.chance(1, 2) ? 1 : 0);
-    values.set("b", rng.chance(1, 2) ? 1 : 0);
-    vec.on_event(t, values);
-    scalar.on_event(t, values);
+    Observation o;
+    o.time = t;
+    o.values.set("a", rng.chance(1, 2) ? 1 : 0);
+    o.values.set("b", rng.chance(1, 2) ? 1 : 0);
+    trace.push_back(std::move(o));
   }
-  vec.finish();
-  scalar.finish();
+  drive(checker, trace);
 
-  const CheckerStats& v = vec.stats();
-  const CheckerStats& s = scalar.stats();
-  EXPECT_EQ(v.events, s.events);
-  EXPECT_EQ(v.activations, s.activations);
-  EXPECT_EQ(v.failures, s.failures);
-  EXPECT_EQ(v.holds, s.holds);
-  EXPECT_EQ(v.trivial, s.trivial);
-  EXPECT_EQ(v.uncompleted, s.uncompleted);
-  EXPECT_EQ(v.steps, s.steps);
-  ASSERT_EQ(vec.failures().size(), scalar.failures().size());
-  for (size_t i = 0; i < vec.failures().size(); ++i) {
-    EXPECT_EQ(vec.failures()[i].time, scalar.failures()[i].time) << i;
-  }
+  expect_matches_oracle(checker, body, trace);
   // next[8] keeps ~8 instances pending per event: real multi-lane cohorts.
-  EXPECT_GT(v.vector_batches, 0u);
-  EXPECT_GT(v.vector_lanes_filled, v.vector_batches);
-  EXPECT_EQ(s.vector_batches, 0u);
+  const CheckerStats& s = checker.stats();
+  EXPECT_GT(s.vector_batches, 0u);
+  EXPECT_GT(s.vector_lanes_filled, s.vector_batches);
 }
 
-// ---- Full-run byte equivalence ---------------------------------------------------
+// ---- Full runs -------------------------------------------------------------------
 
-std::string rendered_report(models::Design design, models::Level level,
-                            size_t jobs, bool vectorized) {
+models::RunResult run(models::Design design, models::Level level,
+                      size_t workload, size_t jobs) {
   models::RunConfig config;
   config.design = design;
   config.level = level;
-  config.workload = design == models::Design::kDes56 ? 30 : 120;
+  config.workload = workload;
   config.checkers = 99;  // clamped to the whole suite
   config.engine.jobs = jobs;
-  config.engine.vectorized = vectorized;
-  const models::RunResult r = models::run_simulation(config);
+  models::RunResult r = models::run_simulation(config);
+  EXPECT_TRUE(r.ingest_error.empty()) << r.ingest_error;
   EXPECT_TRUE(r.functional_ok);
+  return r;
+}
+
+std::string rendered(const models::RunResult& r) {
   std::ostringstream os;
   r.report.write_json(os);
   return os.str();
 }
 
+// TLM-AT checks every property in the scalar form; TLM-CA checks the dense
+// properties in lanes and the rest in the scalar form. Either way the
+// report is the same at jobs 1 and 4, where each shard holds its own lane
+// blocks.
 TEST(VectorReport, ByteIdenticalAcrossBackendsAndJobsOnBothDesigns) {
   for (const models::Design design :
        {models::Design::kDes56, models::Design::kColorConv}) {
-    const std::string reference =
-        rendered_report(design, models::Level::kTlmAt, 1, false);
-    for (const size_t jobs : {size_t{1}, size_t{4}}) {
-      EXPECT_EQ(rendered_report(design, models::Level::kTlmAt, jobs, true),
-                reference)
-          << "design " << static_cast<int>(design) << " jobs " << jobs;
+    const size_t workload = design == models::Design::kDes56 ? 30 : 120;
+    for (const models::Level level :
+         {models::Level::kTlmAt, models::Level::kTlmCa}) {
+      EXPECT_EQ(rendered(run(design, level, workload, 4)),
+                rendered(run(design, level, workload, 1)))
+          << "design " << static_cast<int>(design) << " level "
+          << static_cast<int>(level);
     }
-    EXPECT_EQ(rendered_report(design, models::Level::kTlmAt, 4, false),
-              reference)
-        << "design " << static_cast<int>(design);
   }
 }
 
@@ -457,31 +420,45 @@ TEST(VectorReport, CycleAccurateReplayFillsLanes) {
   config.checkers = 99;
   // The suite's handshake antecedents rarely hold, so their active lists
   // stay short; this unconditional 16-cycle obligation keeps ~16 instances
-  // pending per clock and forces genuine multi-lane cohorts.
-  {
-    auto parsed = psl::parse_rtl_property("vload: always (next[16](rdy)) @clk_pos");
-    ASSERT_TRUE(parsed.ok());
+  // pending per clock and forces genuine multi-lane cohorts. Its twin has
+  // the same meaning (`rdy until rdy` is `rdy`) but an until, so it keeps
+  // the scalar form.
+  for (const char* text : {"vload: always (next[16](rdy)) @clk_pos",
+                           "vscal: always (next[16](rdy until rdy)) @clk_pos"}) {
+    auto parsed = psl::parse_rtl_property(text);
+    ASSERT_TRUE(parsed.ok()) << text;
     config.extra_properties.push_back(parsed.value());
   }
-  config.engine.vectorized = true;
-  const models::RunResult on = models::run_simulation(config);
-  config.engine.vectorized = false;
-  const models::RunResult off = models::run_simulation(config);
+  const models::RunResult r = models::run_simulation(config);
+  ASSERT_TRUE(r.functional_ok);
 
-  // Byte-identical verdicts either way...
-  auto render = [](const models::RunResult& r) {
-    std::ostringstream os;
-    r.report.write_json(os);
-    return os.str();
-  };
-  EXPECT_EQ(render(on), render(off));
-  // ...and the same metric keys, so report schemas never depend on the
-  // backend; only the lockstep counters move.
-  ASSERT_EQ(on.metrics.counters.count("engine.vector_lanes_filled"), 1u);
-  ASSERT_EQ(off.metrics.counters.count("engine.vector_lanes_filled"), 1u);
-  EXPECT_GT(on.metrics.counters.at("engine.vector_lanes_filled"), 0u);
-  EXPECT_GT(on.metrics.counters.at("engine.vector_batches"), 0u);
-  EXPECT_EQ(off.metrics.counters.at("engine.vector_lanes_filled"), 0u);
+  // The same verdicts and counts from lanes and from the scalar form...
+  const abv::PropertyReport* lanes = nullptr;
+  const abv::PropertyReport* scalar = nullptr;
+  for (const abv::PropertyReport& row : r.report.properties()) {
+    if (row.name == "vload") lanes = &row;
+    if (row.name == "vscal") scalar = &row;
+  }
+  ASSERT_NE(lanes, nullptr);
+  ASSERT_NE(scalar, nullptr);
+  EXPECT_GT(lanes->activations, 0u);
+  EXPECT_EQ(lanes->activations, scalar->activations);
+  EXPECT_EQ(lanes->holds, scalar->holds);
+  EXPECT_EQ(lanes->failures, scalar->failures);
+  EXPECT_EQ(lanes->uncompleted, scalar->uncompleted);
+  EXPECT_EQ(lanes->steps, scalar->steps);
+  EXPECT_EQ(lanes->trivial, scalar->trivial);
+  EXPECT_EQ(lanes->real_passes, scalar->real_passes);
+  EXPECT_EQ(lanes->vacuous_passes, scalar->vacuous_passes);
+  ASSERT_EQ(lanes->failure_log.size(), scalar->failure_log.size());
+  for (size_t i = 0; i < lanes->failure_log.size(); ++i) {
+    EXPECT_EQ(lanes->failure_log[i].time, scalar->failure_log[i].time) << i;
+  }
+  // ...while the lockstep counters show real cohorts.
+  EXPECT_GT(r.metrics.counters.at("engine.lane_blocks"), 0u);
+  EXPECT_GT(r.metrics.counters.at("engine.vector_batches"), 0u);
+  EXPECT_GT(r.metrics.counters.at("engine.vector_lanes_filled"),
+            r.metrics.counters.at("engine.vector_batches"));
 }
 
 // ---- engine.vector_batches telemetry ---------------------------------------------
@@ -491,6 +468,7 @@ TEST(VectorReport, CycleAccurateReplayFillsLanes) {
 // repeat exactly at any --jobs.
 
 struct LockstepCounters {
+  uint64_t blocks = 0;
   uint64_t batches = 0;
   uint64_t lanes = 0;
   uint64_t table_peak = 0;
@@ -498,25 +476,18 @@ struct LockstepCounters {
 
 LockstepCounters lockstep_counters(models::Design design, models::Level level,
                                    size_t workload, size_t jobs) {
-  models::RunConfig config;
-  config.design = design;
-  config.level = level;
-  config.workload = workload;
-  config.checkers = 99;
-  config.engine.jobs = jobs;
-  const models::RunResult r = models::run_simulation(config);
-  EXPECT_TRUE(r.ingest_error.empty()) << r.ingest_error;
+  const models::RunResult r = run(design, level, workload, jobs);
   EXPECT_TRUE(r.properties_ok);
-  return {r.metrics.counters.at("engine.vector_batches"),
+  return {r.metrics.counters.at("engine.lane_blocks"),
+          r.metrics.counters.at("engine.vector_batches"),
           r.metrics.counters.at("engine.vector_lanes_filled"),
           r.metrics.gauges.at("wrapper.table_peak")};
 }
 
 TEST(VectorTelemetry, Des56TlmAtNeverHasTwoLanesDue) {
   // Every DES56 TLM-AT wrapper holds at most one scheduled session at a time
-  // (table_peak 1), so no lane block ever has two lanes due in the same
-  // transaction and the lockstep kernel never runs a multi-lane batch. The
-  // zero is true, not a telemetry bug.
+  // (table_peak 1), and no abstracted program gets lanes, so the lockstep
+  // kernel never runs a multi-lane batch.
   for (const size_t jobs : {size_t{1}, size_t{4}}) {
     const LockstepCounters c = lockstep_counters(
         models::Design::kDes56, models::Level::kTlmAt, 300, jobs);
@@ -528,11 +499,42 @@ TEST(VectorTelemetry, Des56TlmAtNeverHasTwoLanesDue) {
 
 TEST(VectorTelemetry, ColorConvTlmCaFillsLanes) {
   // TLM-CA sees one record per cycle and checks the RTL properties on it,
-  // so sessions overlap and due cohorts share lane blocks: 1866 multi-lane
+  // so sessions overlap and dense cohorts share lane blocks: 1866 multi-lane
   // batches advancing 10741 lanes, a lane fill of 10741 / (64 * 1866) = 0.09.
   for (const size_t jobs : {size_t{1}, size_t{4}}) {
     const LockstepCounters c = lockstep_counters(
         models::Design::kColorConv, models::Level::kTlmCa, 300, jobs);
+    EXPECT_EQ(c.batches, 1866u) << "jobs " << jobs;
+    EXPECT_EQ(c.lanes, 10741u) << "jobs " << jobs;
+  }
+}
+
+// ---- Lane choice ------------------------------------------------------------------
+//
+// Lanes follow the program: a checker allocates lane blocks only for a
+// frame-free, next_e-free program. At TLM-AT every abstracted program is
+// time-scheduled, so no lane block exists at any job count; at TLM-CA the
+// dense RTL programs keep their cohorts.
+
+TEST(LaneChoice, TlmAtAllocatesNoLaneBlock) {
+  for (const models::Design design :
+       {models::Design::kDes56, models::Design::kColorConv}) {
+    for (const size_t jobs : {size_t{1}, size_t{2}}) {
+      const LockstepCounters c =
+          lockstep_counters(design, models::Level::kTlmAt, 300, jobs);
+      EXPECT_EQ(c.blocks, 0u)
+          << "design " << static_cast<int>(design) << " jobs " << jobs;
+      EXPECT_EQ(c.batches, 0u)
+          << "design " << static_cast<int>(design) << " jobs " << jobs;
+    }
+  }
+}
+
+TEST(LaneChoice, ColorConvTlmCaKeepsItsCohorts) {
+  for (const size_t jobs : {size_t{1}, size_t{2}}) {
+    const LockstepCounters c = lockstep_counters(
+        models::Design::kColorConv, models::Level::kTlmCa, 300, jobs);
+    EXPECT_GT(c.blocks, 0u) << "jobs " << jobs;
     EXPECT_EQ(c.batches, 1866u) << "jobs " << jobs;
     EXPECT_EQ(c.lanes, 10741u) << "jobs " << jobs;
   }
