@@ -12,8 +12,7 @@ namespace repro::examples {
 
 void print_usage(const char* argv0, const char* extra_usage) {
   std::fprintf(stderr,
-               "usage: %s [--jobs N] [--batch-size N] [--max-inflight N]\n"
-               "          [--witness-depth N] [--failure-log-cap N]\n"
+               "usage: %s [--jobs N] [--witness-depth N] [--failure-log-cap N]\n"
                "          [--trace-out FILE] [--report-out FILE]\n"
                "          [--metrics-out FILE] [--metrics-interval N]\n"
                "          [--dump-passes]\n"
@@ -27,7 +26,6 @@ AbvOptions parse_abv_options(int argc, char** argv,
                              const std::vector<ExtraFlag>& extra,
                              const char* extra_usage) {
   AbvOptions o;
-  bool batching_flags_used = false;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     auto is = [&](const char* name) { return std::strcmp(flag, name) == 0; };
@@ -56,14 +54,6 @@ AbvOptions parse_abv_options(int argc, char** argv,
     if (is("--jobs")) {
       size_arg(o.jobs);
       if (o.jobs == 0) o.jobs = 1;  // 0: serial
-    } else if (is("--batch-size")) {
-      size_arg(o.batch_size);
-      if (o.batch_size == 0) o.batch_size = 1;
-      batching_flags_used = true;
-    } else if (is("--max-inflight")) {
-      size_arg(o.max_inflight);
-      if (o.max_inflight == 0) o.max_inflight = 1;
-      batching_flags_used = true;
     } else if (is("--witness-depth")) {
       size_arg(o.witness_depth);
     } else if (is("--failure-log-cap")) {
@@ -108,21 +98,11 @@ AbvOptions parse_abv_options(int argc, char** argv,
       if (!matched) usage_error(std::string("unknown option '") + flag + "'");
     }
   }
-
-  if (batching_flags_used && o.jobs == 1) {
-    // SIZ-style sizing note, mirroring the analysis layer's tone: the
-    // serial path evaluates records synchronously and never batches.
-    std::fprintf(stderr,
-                 "note: --batch-size/--max-inflight have no effect at "
-                 "--jobs 1 (serial engine path never batches)\n");
-  }
   return o;
 }
 
 void apply(const AbvOptions& options, models::RunConfig& config) {
-  config.engine = {.jobs = options.jobs,
-                   .batch_size = options.batch_size,
-                   .max_inflight_batches = options.max_inflight};
+  config.engine = {.jobs = options.jobs};
   config.observability.witness_depth = options.witness_depth;
   config.observability.failure_log_cap = options.failure_log_cap;
   config.analysis = options.analysis;

@@ -17,8 +17,6 @@ namespace repro::examples {
 
 struct AbvOptions {
   size_t jobs = 1;
-  size_t batch_size = 64;
-  size_t max_inflight = 2;
   size_t witness_depth = 8;
   size_t failure_log_cap = 64;
   std::string trace_out;
@@ -49,9 +47,7 @@ void print_usage(const char* argv0, const char* extra_usage);
 
 // Parses the shared flags (and `extra`). Malformed values, unknown flags and
 // a value flag without its value name the bad argument, print the usage text
-// and exit 2 — the documented CLI contract. Also emits
-// the --jobs 1 batching note when --batch-size/--max-inflight were given
-// without concurrency.
+// and exit 2 — the documented CLI contract.
 AbvOptions parse_abv_options(int argc, char** argv,
                              const std::vector<ExtraFlag>& extra = {},
                              const char* extra_usage = "");

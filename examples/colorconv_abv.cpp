@@ -9,8 +9,7 @@
 // the failure verdict carries a witness ring of the transactions leading up
 // to it.
 //
-// Usage: colorconv_abv [--jobs N] [--batch-size N] [--max-inflight N]
-//                      [--witness-depth N] [--failure-log-cap N]
+// Usage: colorconv_abv [--jobs N] [--witness-depth N] [--failure-log-cap N]
 //                      [--trace-out FILE] [--report-out FILE]
 //                      [--metrics-out FILE] [--metrics-interval N]
 //                      [--dump-passes] [--record-out FILE] [--replay FILE]

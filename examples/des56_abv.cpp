@@ -9,19 +9,13 @@
 // cycles later), to demonstrate the failure-witness ring buffer: each logged
 // violation carries the last transactions observed before the verdict.
 //
-// Usage: des56_abv [--jobs N] [--batch-size N] [--max-inflight N]
-//                  [--witness-depth N] [--failure-log-cap N]
+// Usage: des56_abv [--jobs N] [--witness-depth N] [--failure-log-cap N]
 //                  [--trace-out FILE] [--report-out FILE]
 //                  [--metrics-out FILE] [--metrics-interval N]
 //                  [--dump-passes] [--no-witness-demo]
 //                  [--record-out FILE] [--replay FILE]
 //   --jobs N             shard the TLM checker suite across N worker threads
 //                        (default 1 = serial; results are identical for any N).
-//   --batch-size N       records per sealed arena batch (default 64; ignored
-//                        at --jobs 1, which never batches).
-//   --max-inflight N     sealed-but-undrained batches before the producer
-//                        blocks (default 2 = double-buffered; 1 degenerates
-//                        to synchronous dispatch; ignored at --jobs 1).
 //   --witness-depth N    failure-witness ring depth per checker (default 8).
 //   --failure-log-cap N  max logged failures per checker (default 64).
 //   --trace-out FILE     write a Chrome trace-event JSON of the TLM-AT run

@@ -6,12 +6,12 @@
 // settled, so registered outputs written at the edge are visible — and
 // feeds the evaluation event to the checker.
 //
-// Sampling follows the same arena discipline as the TLM engine: the signal
-// bag is read ONCE per event into a reusable tlm::Snapshot (one getter call
-// per signal, not one per signal per checker), and every checker selected
-// at that edge evaluates against the same read-only ObservablesContext.
-// With a single synchronous consumer the snapshot buffer is recycled in
-// place — the degenerate one-reader case of support::BatchArena. The
+// Sampling follows the same build-once, read-many discipline as the TLM
+// engine's batch ring: the signal bag is read ONCE per event into a reusable
+// tlm::Snapshot (one getter call per signal, not one per signal per
+// checker), and every checker selected at that edge evaluates against the
+// same read-only ObservablesContext. With a single synchronous consumer the
+// snapshot buffer is recycled in place, a ring of one slot. The
 // per-edge atom and guard evaluation is likewise done once: every checker
 // is attached to the environment's checker::RecordPass, which runs once per
 // edge that selects at least one checker.

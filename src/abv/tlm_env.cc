@@ -24,12 +24,6 @@ void TlmAbvEnv::bind() {
   }
 }
 
-void TlmAbvEnv::attach(tlm::TransactionRecorder& recorder) {
-  bind();
-  recorder.subscribe(
-      [this](const tlm::TransactionRecord& record) { engine_->on_record(record); });
-}
-
 void TlmAbvEnv::on_records(const tlm::TransactionRecord* begin,
                            const tlm::TransactionRecord* end) {
   engine_->on_records(begin, end);
@@ -40,7 +34,7 @@ void TlmAbvEnv::finish() {
     engine_->finish();
     return;
   }
-  // Never attached: retire directly (nothing was ever dispatched).
+  // Never bound: retire directly (nothing was ever dispatched).
   AbvEnv::finish();
 }
 

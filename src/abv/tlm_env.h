@@ -1,8 +1,8 @@
 // TLM dynamic ABV environment.
 //
-// Subscribes to a TransactionRecorder and drives, at the end of each
-// transaction (the basic transaction context Tb), one PropertyChecker per
-// property:
+// Fed the completed transactions through on_records (a RecordSource drain
+// loop), it drives, at the end of each transaction (the basic transaction
+// context Tb), one PropertyChecker per property:
 //   - properties abstracted with Methodology III.1 (the intended use,
 //     Sec. IV), and
 //   - unabstracted RTL properties replayed at TLM-CA (the paper's TLM-CA
@@ -19,7 +19,6 @@
 #include "abv/eval_engine.h"
 #include "psl/ast.h"
 #include "support/trace_sink.h"
-#include "tlm/recorder.h"
 
 namespace repro::abv {
 
@@ -32,8 +31,8 @@ class TlmAbvEnv : public AbvEnv {
   explicit TlmAbvEnv(psl::TimeNs clock_period_ns = 10)
       : clock_period_ns_(clock_period_ns) {}
 
-  // The evaluation engine's knob group (jobs, batch size, in-flight bound),
-  // handed to the EvalEngine verbatim, which clamps it; call before bind().
+  // The evaluation engine's knob group (jobs), handed to the EvalEngine
+  // verbatim, which clamps it; call before bind().
   // jobs 1 (default) is the exact serial walk; N > 1 shards the registered
   // properties across N concurrent workers with identical per-property
   // results (see EvalEngine).
@@ -76,11 +75,7 @@ class TlmAbvEnv : public AbvEnv {
   // config calls.
   void bind();
 
-  // bind() plus a recorder subscription — the push-based hookup.
-  void attach(tlm::TransactionRecorder& recorder);
-
-  // Requires bind() or attach() first. Spans feed the engine exactly like
-  // subscribed delivery does.
+  // Requires bind() first. Feeds the span to the engine in order.
   void on_records(const tlm::TransactionRecord* begin,
                   const tlm::TransactionRecord* end) override;
 

@@ -61,9 +61,6 @@ class ProgramBatch {
   static bool supported(const Program& program);
 
   const Program& program() const { return *program_; }
-  const std::shared_ptr<const Program>& shared_program() const {
-    return program_;
-  }
   // Dense ordinal of node n's per-lane skip counter; only meaningful for
   // kNext.
   uint32_t scratch(uint32_t n) const { return scratch_[n]; }
@@ -109,8 +106,6 @@ class BatchState {
   void reset_lane(uint32_t lane);
 
   Verdict root_verdict(uint32_t lane) const;
-  uint64_t primed() const { return primed_; }
-  const ProgramBatch& layout() const { return *layout_; }
 
   // --- vacuity telemetry ----------------------------------------------------
   // "Consequent exercised" bit plane, one bit per lane (see

@@ -83,7 +83,7 @@ struct IngestConfig {
   // When non-empty, the ingested record stream is serialized here as a
   // versioned trace log (binary, or JSONL for .jsonl paths). At RTL the
   // stream is the sampled clock-edge sequence; at TLM it is the completed
-  // transactions, framed per sealed engine batch.
+  // transactions in ingest order, framed alike for any engine jobs.
   std::string record_path;
   // When non-empty, no simulation runs: the trace log here is replayed
   // through the identically-configured checker environment instead. The
@@ -126,7 +126,7 @@ struct AnalysisConfig {
 // property selection, workload) stays flat; tuning knobs live in nested
 // option groups designed for designated initializers, e.g.
 //   RunConfig config;
-//   config.engine = {.jobs = 4, .max_inflight_batches = 3};
+//   config.engine = {.jobs = 4};
 //   config.observability = {.trace_path = "at.trace.json"};
 struct RunConfig {
   Design design = Design::kDes56;
@@ -149,9 +149,8 @@ struct RunConfig {
   // (e.g. a deliberately failing witness demo) without editing the suite.
   std::vector<psl::RtlProperty> extra_properties;
 
-  // Evaluation-engine knobs (jobs, batch_size, max_inflight_batches),
-  // passed to abv::EvalEngine verbatim. Ignored at RTL; batch_size and
-  // max_inflight_batches are ignored at jobs == 1 (serial path).
+  // Evaluation-engine knobs (jobs), passed to abv::EvalEngine verbatim.
+  // Ignored at RTL.
   abv::EngineConfig engine;
   ObservabilityConfig observability;
   AbstractionConfig abstraction;

@@ -485,8 +485,8 @@ void TraceWriter::append(const tlm::TransactionRecord& record) {
 void TraceWriter::write_span(const tlm::TransactionRecord* begin,
                              const tlm::TransactionRecord* end) {
   if (!ok() || finished_) return;
-  // One frame per sealed arena segment: flush any buffered appends first so
-  // the segment boundary is preserved in the file's framing.
+  // One frame per span: flush any buffered appends first so the span
+  // boundary is preserved in the file's framing.
   flush_frame();
   for (const tlm::TransactionRecord* r = begin; r != end; ++r) serialize(*r);
   flush_frame();

@@ -1,8 +1,8 @@
 // Versioned on-disk transaction-record trace log (record once, check many).
 //
 // Decouples record production from checking: a TraceWriter serializes the
-// engine-visible record stream — per sealed BatchArena segment in sharded
-// mode, per record on the serial path — and a TraceStreamSource replays it
+// engine-visible record stream record by record, in ingest order (the same
+// bytes for any engine jobs), and a TraceStreamSource replays it
 // through the same checker configuration, one frame at a time. Verdicts
 // depend only on the recorded observation stream, so a replayed run reports
 // byte-identical results (timing excluded) to the live run that produced the
@@ -88,8 +88,8 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(const tlm::TransactionRecord& record);
-  // One frame per sealed arena segment: serializes [begin, end) and flushes
-  // it as a single frame (any partially buffered appends flush first).
+  // Serializes [begin, end) as one frame of its own (any partially buffered
+  // appends flush first), for producers that keep their own framing.
   void write_span(const tlm::TransactionRecord* begin,
                   const tlm::TransactionRecord* end);
   // Flushes the tail frame and the trailer; returns ok().

@@ -129,7 +129,10 @@ TEST(TlmAbvEnv, DrivesWrappersFromRecorder) {
   tlm::TransactionRecorder recorder(kernel);
   TlmAbvEnv env(10);
   env.add_property(tlm_prop("q: always (!ds || next_e[1,20](rdy)) @Tb"));
-  env.attach(recorder);
+  env.bind();
+  recorder.subscribe([&](const tlm::TransactionRecord& record) {
+    env.on_records(&record, &record + 1);
+  });
   kernel.schedule_at(0, [&] {
     recorder.emit(record_at(10, 1, 0));
     recorder.emit(record_at(30, 0, 1));
@@ -147,7 +150,10 @@ TEST(TlmAbvEnv, DrivesRtlCheckersEventCounted) {
   tlm::TransactionRecorder recorder(kernel);
   TlmAbvEnv env(10);
   env.add_rtl_property(rtl_prop("p: always (!ds || next(rdy)) @clk_pos"));
-  env.attach(recorder);
+  env.bind();
+  recorder.subscribe([&](const tlm::TransactionRecord& record) {
+    env.on_records(&record, &record + 1);
+  });
   kernel.schedule_at(0, [&] {
     recorder.emit(record_at(10, 1, 0));
     recorder.emit(record_at(20, 0, 1));

@@ -135,7 +135,7 @@ TEST(AllocBudget, Des56TlmAtAllCheckersSerial) {
 }
 
 TEST(AllocBudget, Des56TlmAtAllCheckersSharded) {
-  EXPECT_LE(steady_state_news_per_transaction(models::Design::kDes56, 4), 3.51);
+  EXPECT_LE(steady_state_news_per_transaction(models::Design::kDes56, 4), 2.0);
 }
 
 TEST(AllocBudget, ColorConvTlmAtAllCheckersSerial) {

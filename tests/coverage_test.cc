@@ -267,9 +267,10 @@ std::vector<tlm::TransactionRecord> handshake_stream(size_t n) {
   return records;
 }
 
-// Runs a tiny wrapper suite through the engine with the sampler on and
-// returns the emitted JSONL lines.
-std::vector<std::string> sample_run(size_t jobs, size_t interval) {
+// Runs a tiny wrapper suite over `records` handshakes through the engine
+// with the sampler on and returns the emitted JSONL lines.
+std::vector<std::string> sample_run(size_t jobs, size_t interval,
+                                    size_t records = 20) {
   const psl::TlmProperty p = tlm_prop("w: always (!ds || next_e[1,20](rdy)) @Tb");
   PropertyChecker wrapper(p, 10);
   support::CoverageTable coverage;
@@ -277,13 +278,12 @@ std::vector<std::string> sample_run(size_t jobs, size_t interval) {
   std::ostringstream os;
   abv::EvalEngine::Options options;
   options.config.jobs = jobs;
-  options.config.batch_size = 4;
   options.metrics_out = &os;
   options.metrics_interval = interval;
   options.coverage = &coverage;
   abv::EvalEngine engine(options);
   engine.add(&wrapper);
-  for (const tlm::TransactionRecord& r : handshake_stream(20)) {
+  for (const tlm::TransactionRecord& r : handshake_stream(records)) {
     engine.on_record(r);
   }
   engine.finish();
@@ -319,10 +319,12 @@ TEST(CoverageSampler, ZeroIntervalEmitsOnlyTheFinalLine) {
 }
 
 // The final line is taken after every shard joined, so its coverage array is
-// exact and identical across worker counts (mid-run lines may differ).
+// exact and identical across worker counts (mid-run lines may differ). The
+// stream spans five engine batches, so the sharded run wraps the batch ring.
 TEST(CoverageSampler, FinalCoverageIdenticalAcrossJobs) {
   auto final_coverage = [](size_t jobs) {
-    const std::vector<std::string> lines = sample_run(jobs, /*interval=*/0);
+    const std::vector<std::string> lines =
+        sample_run(jobs, /*interval=*/0, /*records=*/4500);
     EXPECT_EQ(lines.size(), 1u);
     const size_t at = lines.back().find("\"coverage\":");
     EXPECT_NE(at, std::string::npos);

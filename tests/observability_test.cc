@@ -393,7 +393,6 @@ TEST(TraceSink, EngineEmitsOneLanePerShardWithCausalSpans) {
   support::MetricsRegistry metrics(4);  // producer lane + 3 shard lanes
   abv::EvalEngine::Options options;
   options.config.jobs = 3;
-  options.config.batch_size = 8;
   options.trace = &sink;
   options.metrics = &metrics;
   abv::EvalEngine engine(options);
@@ -406,8 +405,9 @@ TEST(TraceSink, EngineEmitsOneLanePerShardWithCausalSpans) {
         std::make_unique<checker::PropertyChecker>(tlm_prop(text), 10));
     engine.add(wrappers.back().get());
   }
+  // Five engine batches: the shards wrap the batch ring.
   sim::Time t = 10;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 4500; ++i) {
     engine.on_record(obs_record(t, i % 4 == 0 ? 1 : 0, 0));  // rdy never rises
     t += 50;  // always past the next_e window: every activation fails
   }
@@ -485,10 +485,9 @@ TEST(MetricsDeterminism, DeterministicKeysAgreeAcrossJobs) {
     models::RunConfig config;
     config.design = models::Design::kDes56;
     config.level = models::Level::kTlmAt;
-    config.workload = 40;
+    config.workload = 1100;  // 4400 records: sharded runs wrap the batch ring
     config.checkers = 99;  // whole suite
     config.engine.jobs = jobs;
-    config.engine.batch_size = 16;
     return models::run_simulation(config);
   };
   const models::RunResult base = run(1);

@@ -85,14 +85,21 @@ class RowIndependence : public testing::TestWithParam<Cell> {};
 // failure logs and witness rings are compared too, not only counters.
 const char kFailingDemo[] = "wdemo: always (!ds || next[1](rdy)) @clk_pos";
 
+// Workloads whose TLM streams exceed four 1024-record engine batches, so
+// the jobs-2 cells wrap the batch ring: DES56 delivers about 20 records per
+// operation at TLM-CA and 4 at TLM-AT, ColorConv about 1.4 per pixel.
+size_t cell_workload(const Cell& cell) {
+  if (cell.design == models::Design::kColorConv) return 3200;
+  return cell.level == models::Level::kTlmCa ? 240 : 1100;
+}
+
 models::RunConfig cell_config(const Cell& cell) {
   models::RunConfig config;
   config.design = cell.design;
   config.level = cell.level;
-  config.workload = cell.design == models::Design::kDes56 ? 80 : 300;
+  config.workload = cell_workload(cell);
   config.seed = 7;
   config.engine.jobs = cell.jobs;
-  config.engine.batch_size = 16;
   return config;
 }
 
@@ -151,28 +158,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Row independence across a dictionary change --------------------------------
 
-// 60 records over {ds, rdy, data}, then 60 over {mode, rdy, data, ds}: the
-// second half must rebind every property's observables (and an environment's
-// shared atoms) to new slots.
+// 2250 records over {ds, rdy, data}, then 2250 over {mode, rdy, data, ds}:
+// the second half must rebind every property's observables (and an
+// environment's shared atoms) to new slots. The change falls inside an
+// engine batch, and the stream spans five, so sharded runs wrap the batch
+// ring.
 std::vector<tlm::TransactionRecord> two_dictionary_stream() {
+  constexpr size_t kHalf = 2250;
   auto first = std::make_shared<const tlm::Snapshot::Keys>(
       tlm::Snapshot::Keys{"ds", "rdy", "data"});
   auto second = std::make_shared<const tlm::Snapshot::Keys>(
       tlm::Snapshot::Keys{"mode", "rdy", "data", "ds"});
   std::vector<tlm::TransactionRecord> records;
   uint64_t state = 12345;
-  for (size_t i = 0; i < 120; ++i) {
+  for (size_t i = 0; i < 2 * kHalf; ++i) {
     state = state * 6364136223846793005u + 1442695040888963407u;
     const uint64_t bits = state >> 33;
     tlm::TransactionRecord r;
     r.start = 10 * (i + 1);
     r.end = r.start;
     r.address = i % 3 == 2 ? 1 : 0;  // RTL replay: a falling edge now and then
-    r.observables = tlm::Snapshot(i < 60 ? first : second);
+    r.observables = tlm::Snapshot(i < kHalf ? first : second);
     r.observables.set("ds", bits & 1);
     r.observables.set("rdy", (bits >> 1) & 1);
     r.observables.set("data", (bits >> 2) & 7);
-    if (i >= 60) r.observables.set("mode", (bits >> 5) & 1);
+    if (i >= kHalf) r.observables.set("mode", (bits >> 5) & 1);
     records.push_back(std::move(r));
   }
   return records;
@@ -198,7 +208,7 @@ std::map<std::string, std::string> tlm_rows(
     const std::vector<tlm::TransactionRecord>& records, size_t jobs,
     const std::vector<size_t>& rtl, const std::vector<size_t>& tlm) {
   abv::TlmAbvEnv env(10);
-  env.set_engine_config(abv::EngineConfig{.jobs = jobs, .batch_size = 7});
+  env.set_engine_config(abv::EngineConfig{.jobs = jobs});
   env.set_witness_depth(5);
   for (size_t i : rtl) env.add_rtl_property(rtl_prop(kRtlTexts[i]));
   for (size_t i : tlm) env.add_property(tlm_prop(kTlmTexts[i]));

@@ -159,7 +159,7 @@ TEST(TracelogFormat, WriteSpanFramesPerSegment) {
   ASSERT_TRUE(writer.finish()) << writer.error();
   TraceReader reader;
   ASSERT_FALSE(reader.open(path).has_value());
-  // One frame per sealed segment, mirroring the live engine's batching.
+  // One frame per span.
   EXPECT_EQ(reader.frame_sizes(), (std::vector<size_t>{7, 3}));
   expect_same_records(reader.records(), records);
 }
@@ -633,8 +633,8 @@ TEST_P(ReplayGrid, RecordThenReplayMatches) {
   }
 }
 
-// Replaying while re-recording at the recording's jobs count reproduces the
-// log byte for byte: same records, same framing.
+// Replaying while re-recording reproduces the log byte for byte: same
+// records, same framing.
 TEST_P(ReplayGrid, ReplayWhileRecordingRoundTrips) {
   const std::string name = cell_name(GetParam());
   const std::string log = temp_path(name + "_src.rtabv");
@@ -669,6 +669,43 @@ INSTANTIATE_TEST_SUITE_P(Cells, ReplayGrid, testing::ValuesIn(grid_cells()),
                          [](const testing::TestParamInfo<GridCell>& info) {
                            return cell_name(info.param);
                          });
+
+// The engine appends every record to the log on the producer thread, in
+// ingest order, whatever its jobs count: a recorded log (--record-out) is
+// the same bytes at jobs 1 and jobs 3. Both streams span more than four
+// engine batches.
+TEST(TracelogRecord, BytesIdenticalAcrossJobs) {
+  struct Case {
+    models::Design design;
+    models::Level level;
+    size_t workload;
+  };
+  for (const Case& c : {Case{models::Design::kDes56, models::Level::kTlmAt, 1100},
+                        Case{models::Design::kColorConv, models::Level::kTlmCa,
+                             3200}}) {
+    const std::string name = std::string(models::to_string(c.design)) + " " +
+                             models::to_string(c.level);
+    std::string bytes[2];
+    for (size_t i = 0; i < 2; ++i) {
+      const size_t jobs = i == 0 ? 1 : 3;
+      const std::string log =
+          temp_path("record_jobs" + std::to_string(jobs) + ".rtabv");
+      models::RunConfig config;
+      config.design = c.design;
+      config.level = c.level;
+      config.workload = c.workload;
+      config.checkers = 99;  // the whole suite
+      config.engine.jobs = jobs;
+      config.ingest.record_path = log;
+      const models::RunResult r = models::run_simulation(config);
+      ASSERT_TRUE(r.ingest_error.empty()) << r.ingest_error;
+      EXPECT_GT(r.transactions, 4096u) << name;
+      bytes[i] = slurp(log);
+    }
+    EXPECT_FALSE(bytes[0].empty()) << name;
+    EXPECT_EQ(bytes[0], bytes[1]) << name;
+  }
+}
 
 TEST(ReplayRtl, RecordThenReplayMatchesAndRoundTrips) {
   const std::string log = temp_path("des56_rtl.rtabv");
